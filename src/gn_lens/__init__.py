@@ -69,6 +69,7 @@ from .network import (
 )
 from .trainer import (
     Checkpoint,
+    Metrics,
     PruneCell,
     TrainConfig,
     TrainTrace,

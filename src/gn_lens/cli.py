@@ -12,22 +12,13 @@ import logging
 import math
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import (
-    bound_deep_convex,
-    bound_deep_max,
-    bound_leaky,
-    bound_residual_convex,
-    bound_residual_max,
-)
 from .data import (
     Dataset,
-    empirical_covariance,
     load_csv,
     load_idx,
     synthesize_gaussian,
@@ -42,26 +33,22 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .gauss_newton import gn_conv, gn_leaky, gn_linear, gn_residual
-from .linalg import (
-    RankPolicy,
-    pseudo_condition_number,
-    rank_sensitivity_sweep,
-    sym_eigendecompose,
-)
+from .linalg import RankPolicy, rank_sensitivity_sweep
 from .network import (
-    LEAKY_ONE_HIDDEN,
     LINEAR_CONV,
     LINEAR_DEEP,
-    RESIDUAL,
     NetworkSpec,
     Params,
     init,
-    init_aligned_svd,
     lift_conv,
-    prune_by_magnitude,
 )
-from .trainer import TrainConfig, train
+from .trainer import (
+    Metrics,
+    TrainConfig,
+    checkpoint_metrics,
+    pruning_experiment,
+    train,
+)
 
 log = logging.getLogger("gn_lens")
 
@@ -99,6 +86,10 @@ ALLOWED_KEYS = {
 }
 
 
+class MissingKeyError(ConfigError):
+    """A required key is absent from the config."""
+
+
 def parse_config(path: str, command: str) -> dict:
     """Read a flat key=value file, rejecting unknown or duplicate keys."""
     allowed = ALLOWED_KEYS[command]
@@ -128,7 +119,7 @@ def parse_config(path: str, command: str) -> dict:
 def _as_int(cfg, key, default=None):
     if key not in cfg:
         if default is None:
-            raise ConfigError(f"missing required key {key!r}")
+            raise MissingKeyError(f"missing required key {key!r}")
         return default
     try:
         return int(cfg[key])
@@ -139,7 +130,7 @@ def _as_int(cfg, key, default=None):
 def _as_float(cfg, key, default=None):
     if key not in cfg:
         if default is None:
-            raise ConfigError(f"missing required key {key!r}")
+            raise MissingKeyError(f"missing required key {key!r}")
         return default
     try:
         return float(cfg[key])
@@ -161,7 +152,7 @@ def _as_bool(cfg, key, default=False):
 def _as_float_list(cfg, key, default=None):
     if key not in cfg:
         if default is None:
-            raise ConfigError(f"missing required key {key!r}")
+            raise MissingKeyError(f"missing required key {key!r}")
         return list(default)
     try:
         return [float(v) for v in cfg[key].split(",") if v.strip() != ""]
@@ -172,7 +163,7 @@ def _as_float_list(cfg, key, default=None):
 def _as_int_list(cfg, key, default=None):
     if key not in cfg:
         if default is None:
-            raise ConfigError(f"missing required key {key!r}")
+            raise MissingKeyError(f"missing required key {key!r}")
         return list(default)
     value = cfg[key]
     try:
@@ -279,11 +270,17 @@ def build_spec(cfg: dict, data_d: int, overrides: dict | None = None) -> Network
 
 
 def init_params(spec: NetworkSpec, cfg: dict, seed: int) -> Params:
-    scheme = cfg.get("init", "kaiming_normal")
-    if scheme == "aligned_svd":
-        return init_aligned_svd(spec, seed=seed)
-    return init(spec, scheme=scheme, seed=seed,
+    return init(spec, scheme=cfg.get("init", "kaiming_normal"), seed=seed,
                 sigma=_as_float(cfg, "init_sigma", 1.0))
+
+
+def _seeds(cfg: dict, args) -> list[int]:
+    seeds = _as_int_list(cfg, "seeds", [0])
+    if args.seed_override is not None:
+        return [args.seed_override]
+    if not seeds:
+        raise ConfigError(f"key 'seeds' lists no seed: {cfg['seeds']!r}")
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -334,55 +331,37 @@ def write_rows(path: str, header, rows) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def _row(label: str, seed: int, spec: NetworkSpec, shape: dict,
+         policy: RankPolicy | None, result, **columns) -> ResultRow:
+    """A result row from a Metrics or a Checkpoint (which has no kappa_sigma)."""
+    return ResultRow(
+        experiment=label, seed=seed, beta=spec.beta, alpha=spec.alpha,
+        kappa=result.kappa, bound_convex=result.bound_convex,
+        bound_max=result.bound_max, bound_other=result.bound_other,
+        rank_policy=_policy_column(policy), **shape, **columns,
+    )
+
+
 # ---------------------------------------------------------------------------
-# Metric evaluation shared by analyze / sweep / prune
+# Metric evaluation shared by analyze / sweep
 
 
 def evaluate_instance(spec: NetworkSpec, params: Params, ds: Dataset,
-                      policy: RankPolicy | None):
-    """kappa plus every applicable bound for one (spec, params, dataset)."""
-    start = time.perf_counter()
-    sigma = empirical_covariance(ds)
-    terms = ()
-    bound_other = None
-    if spec.kind == LINEAR_DEEP:
-        gn = gn_linear(params, sigma)
-        convex_rep = bound_deep_convex(params, sigma)
-        convex, maximum = convex_rep.value, bound_deep_max(params, sigma).value
-        kappa_sigma, terms = convex_rep.kappa_sigma, convex_rep.terms
-    elif spec.kind == RESIDUAL:
-        gn = gn_residual(params, spec.beta, sigma)
-        convex_rep = bound_residual_convex(params, spec.beta, sigma)
-        convex = convex_rep.value
-        maximum = bound_residual_max(params, spec.beta, sigma).value
-        kappa_sigma, terms = convex_rep.kappa_sigma, convex_rep.terms
-    elif spec.kind == LEAKY_ONE_HIDDEN:
-        v, w = params.layers
-        gn, gamma = gn_leaky(w, v, ds.X, spec.alpha)
-        convex = maximum = None
-        try:
-            bound_other = bound_leaky(w, v, ds.X, spec.alpha, gamma).value
-        except DegenerateDataError:
-            # Valid only when the data Gram and unit-weight Gram are both
-            # nondegenerate; kappa itself is still well defined.
-            bound_other = None
-        kappa_sigma = pseudo_condition_number(sym_eigendecompose(sigma))
-    elif spec.kind == LINEAR_CONV:
-        lifted = Params(layers=tuple(lift_conv(spec, params)))
-        gn = gn_conv([w for w in lifted.layers], sigma)
-        convex_rep = bound_deep_convex(lifted, sigma)
-        convex, maximum = convex_rep.value, bound_deep_max(lifted, sigma).value
-        kappa_sigma, terms = convex_rep.kappa_sigma, convex_rep.terms
-    else:
-        raise ConfigError(f"kind {spec.kind!r} has no analytic GN builder")
-    spectrum = gn.spectrum()
-    kappa = pseudo_condition_number(spectrum, policy)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return {
-        "kappa": kappa, "bound_convex": convex, "bound_max": maximum,
-        "bound_other": bound_other, "kappa_sigma": kappa_sigma,
-        "wall_ms": wall_ms, "spectrum": spectrum, "terms": terms,
-    }
+                      policy: RankPolicy | None) -> Metrics:
+    """kappa plus every applicable bound for one (spec, params, dataset).
+
+    A conv chain is evaluated as its Toeplitz-lifted deep linear network,
+    the `gn_conv` proxy, not as the shared-weight GN.
+    """
+    if spec.kind == LINEAR_CONV:
+        lifted = lift_conv(spec, params)
+        spec = NetworkSpec(kind=LINEAR_DEEP, dims=(
+            lifted[0].shape[1], *(t.shape[0] for t in lifted)))
+        params = Params(layers=tuple(lifted))
+    try:
+        return checkpoint_metrics(spec, params, ds, policy)
+    except SpecError as exc:  # the config chose a kind without a GN builder
+        raise ConfigError(str(exc)) from exc
 
 
 def _shape_columns(spec: NetworkSpec, ds: Dataset) -> dict:
@@ -482,35 +461,27 @@ def cmd_analyze(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset(cfg)
     spec = build_spec(cfg, ds.d)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
-    seeds = _as_int_list(cfg, "seeds", [0])
-    if args.seed_override is not None:
-        seeds = [args.seed_override]
-    seed = seeds[0]
+    seed = _seeds(cfg, args)[0]
     params = init_params(spec, cfg, seed)
     result = evaluate_instance(spec, params, ds, policy)
-    label = cfg.get("experiment", "analyze")
-    row = ResultRow(
-        experiment=label, seed=seed, beta=spec.beta, alpha=spec.alpha,
-        kappa=result["kappa"], bound_convex=result["bound_convex"],
-        bound_max=result["bound_max"], bound_other=result["bound_other"],
-        kappa_sigma=result["kappa_sigma"], rank_policy=_policy_column(policy),
-        **_shape_columns(spec, ds),
-    )
+    row = _row(cfg.get("experiment", "analyze"), seed, spec,
+               _shape_columns(spec, ds), policy, result,
+               kappa_sigma=result.kappa_sigma)
     write_rows(os.path.join(out_dir, "analysis.csv"), RESULT_COLUMNS, [row])
-    if result["terms"]:
+    if result.terms:
         term_rows = [
             (t.ell, t.kappa2_above, t.kappa2_below, t.sig2min_above,
              t.sig2min_below, t.alpha_l, t.gamma_l, t.weighted)
-            for t in result["terms"]
+            for t in result.terms
         ]
         write_rows(os.path.join(out_dir, "terms.csv"), TERM_COLUMNS, term_rows)
     if args.spectrum:
-        spec_rows = [(i, v) for i, v in enumerate(result["spectrum"].values)]
+        spec_rows = [(i, v) for i, v in enumerate(result.spectrum.values)]
         write_rows(os.path.join(out_dir, "spectrum.csv"),
                    ("index", "eigenvalue"), spec_rows)
         write_rows(os.path.join(out_dir, "rank_sensitivity.csv"),
-                   ("rank", "kappa"), rank_sensitivity_sweep(result["spectrum"]))
-    log.info("analyze: kappa=%g", result["kappa"])
+                   ("rank", "kappa"), rank_sensitivity_sweep(result.spectrum))
+    log.info("analyze: kappa=%g", result.kappa)
     return 0
 
 
@@ -526,27 +497,26 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
         raise ConfigError("sweep values must be non-empty")
     if axis in ("L", "m", "kernel", "filters"):
         values = [int(v) for v in values]
-    seeds = _as_int_list(cfg, "seeds", [0])
-    if args.seed_override is not None:
-        seeds = [args.seed_override]
+    seeds = _seeds(cfg, args)
     ds = load_dataset(cfg)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     label = cfg.get("experiment", "sweep")
+    # A key missing from the config fails every cell alike: report it once.
+    try:
+        build_spec(cfg, ds.d, overrides={axis: values[0]})
+    except MissingKeyError:
+        raise
+    except GnLensError:
+        pass  # a bad axis value fails only its own cells
 
     def run_cell(cell):
         cell_idx, value, seed = cell
         spec = build_spec(cfg, ds.d, overrides={axis: value})
         params = init_params(spec, cfg, seed)
         result = evaluate_instance(spec, params, ds, policy)
-        return ResultRow(
-            experiment=f"{label}:{axis}={value}", seed=seed,
-            beta=spec.beta, alpha=spec.alpha, kappa=result["kappa"],
-            bound_convex=result["bound_convex"], bound_max=result["bound_max"],
-            bound_other=result["bound_other"],
-            kappa_sigma=result["kappa_sigma"],
-            rank_policy=_policy_column(policy),
-            **_shape_columns(spec, ds),
-        )
+        return _row(f"{label}:{axis}={value}", seed, spec,
+                    _shape_columns(spec, ds), policy, result,
+                    kappa_sigma=result.kappa_sigma)
 
     cells = [
         (ci * len(seeds) + si, value, seed)
@@ -613,31 +583,19 @@ def cmd_train(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset(cfg)
     spec = build_spec(cfg, ds.d)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
-    seeds = _as_int_list(cfg, "seeds", [0])
-    if args.seed_override is not None:
-        seeds = [args.seed_override]
+    seeds = _seeds(cfg, args)
     label = cfg.get("experiment", "train")
-    shape = None
+    with_targets = _teacher_targets(cfg, spec, ds)
+    shape = _shape_columns(spec, with_targets)
     rows = []
     traces = []
     for seed in seeds:
         params = init_params(spec, cfg, seed)
-        with_targets = _teacher_targets(cfg, spec, ds)
-        shape = _shape_columns(spec, with_targets)
         _, trace = train(spec, params, with_targets, _train_config(cfg, seed),
                          policy)
         traces.append((seed, trace))
-        for cp in trace.checkpoints:
-            is_leaky = spec.kind == LEAKY_ONE_HIDDEN
-            rows.append(ResultRow(
-                experiment=label, seed=seed, beta=spec.beta, alpha=spec.alpha,
-                epoch=cp.epoch, kappa=cp.kappa,
-                bound_convex=None if is_leaky else cp.bound_convex,
-                bound_max=None if is_leaky else cp.bound_max,
-                bound_other=cp.bound_convex if is_leaky else None,
-                rank_policy=_policy_column(policy),
-                **shape,
-            ))
+        rows += [_row(label, seed, spec, shape, policy, cp, epoch=cp.epoch)
+                 for cp in trace.checkpoints]
         if trace.diverged:
             log.warning("seed %d diverged", seed)
     write_rows(os.path.join(out_dir, "trace.csv"), RESULT_COLUMNS, rows)
@@ -664,44 +622,24 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset(cfg)
     spec = build_spec(cfg, ds.d)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
-    seeds = _as_int_list(cfg, "seeds", [0])
-    if args.seed_override is not None:
-        seeds = [args.seed_override]
+    seeds = _seeds(cfg, args)
     fractions = _as_float_list(cfg, "fractions", [0.0, 0.5, 0.9])
     label = cfg.get("experiment", "prune")
     with_targets = _teacher_targets(cfg, spec, ds)
     shape = _shape_columns(spec, with_targets)
+    cells = pruning_experiment(
+        spec, with_targets, fractions, seeds, _train_config(cfg, 0),
+        scheme=cfg.get("init", "kaiming_normal"), policy=policy,
+        init_sigma=_as_float(cfg, "init_sigma", 1.0))
     rows = []
-    for seed in seeds:
-        base = init_params(spec, cfg, seed)
-        for fraction in fractions:
-            pruned = prune_by_magnitude(base, fraction)
-            result = evaluate_instance(spec, pruned, with_targets, policy)
-            rows.append(ResultRow(
-                experiment=label, seed=seed, beta=spec.beta, alpha=spec.alpha,
-                fraction=fraction, epoch=0, kappa=result["kappa"],
-                bound_convex=result["bound_convex"],
-                bound_max=result["bound_max"],
-                bound_other=result["bound_other"],
-                kappa_sigma=result["kappa_sigma"],
-                rank_policy=_policy_column(policy),
-                **shape,
-            ))
-            _, trace = train(spec, pruned, with_targets,
-                             _train_config(cfg, seed), policy)
-            if trace.checkpoints:
-                cp = trace.checkpoints[-1]
-                is_leaky = spec.kind == LEAKY_ONE_HIDDEN
-                rows.append(ResultRow(
-                    experiment=label, seed=seed, beta=spec.beta,
-                    alpha=spec.alpha, fraction=fraction, epoch=cp.epoch,
-                    kappa=cp.kappa,
-                    bound_convex=None if is_leaky else cp.bound_convex,
-                    bound_max=None if is_leaky else cp.bound_max,
-                    bound_other=cp.bound_convex if is_leaky else None,
-                    rank_policy=_policy_column(policy),
-                    **shape,
-                ))
+    for cell in cells:
+        rows.append(_row(label, cell.seed, spec, shape, policy, cell.at_init,
+                         fraction=cell.fraction, epoch=0,
+                         kappa_sigma=cell.at_init.kappa_sigma))
+        if cell.trace.checkpoints:
+            cp = cell.trace.checkpoints[-1]
+            rows.append(_row(label, cell.seed, spec, shape, policy, cp,
+                             fraction=cell.fraction, epoch=cp.epoch))
     write_rows(os.path.join(out_dir, "prune.csv"), RESULT_COLUMNS, rows)
     return 0
 

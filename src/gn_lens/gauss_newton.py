@@ -75,23 +75,22 @@ def _symmetrize(g: np.ndarray) -> np.ndarray:
     return 0.5 * (g + g.T)
 
 
-def gn_linear(params: Params, sigma, dim_cap: int = 10_000) -> GnMatrix:
+def gn_linear(params: Params, sigma) -> GnMatrix:
     """kd x kd reduced GN of a deep linear network for input covariance sigma."""
     sigma = as_matrix(sigma, "sigma")
     s_half = psd_sqrt(sigma)
-    return _gn_product_family(params, s_half, beta=0.0, dim_cap=dim_cap)
+    return _gn_product_family(params, s_half, beta=0.0)
 
 
-def gn_residual(params: Params, beta: float, sigma,
-                dim_cap: int = 10_000) -> GnMatrix:
+def gn_residual(params: Params, beta: float, sigma) -> GnMatrix:
     """Same assembly as gn_linear with beta-shifted partial products."""
     sigma = as_matrix(sigma, "sigma")
     s_half = psd_sqrt(sigma)
-    return _gn_product_family(params, s_half, beta=beta, dim_cap=dim_cap)
+    return _gn_product_family(params, s_half, beta=beta)
 
 
-def _gn_product_family(params: Params, s_half: np.ndarray, beta: float,
-                       dim_cap: int) -> GnMatrix:
+def _gn_product_family(params: Params, s_half: np.ndarray,
+                       beta: float) -> GnMatrix:
     L = len(params.layers)
     k = params.layers[-1].shape[0]
     d = params.layers[0].shape[1]
@@ -105,7 +104,7 @@ def _gn_product_family(params: Params, s_half: np.ndarray, beta: float,
         below = partial_product(params, ell - 1, 1, beta)  # a_{ell-1} x d
         left = above @ above.T
         right = s_half @ (below.T @ below) @ s_half
-        g += kron(left, right, dim_cap=dim_cap)
+        g += kron(left, right)
     return GnMatrix(matrix=_symmetrize(g), family=LINEAR_SIGMA_FORM,
                     scale_note="1/n")
 
@@ -119,8 +118,7 @@ def unit_patterns(V, X, alpha: float) -> UnitActivationPattern:
     return UnitActivationPattern(diagonals=diags, alpha=alpha)
 
 
-def gn_leaky(W, V, X, alpha: float,
-             dim_cap: int = 10_000) -> tuple[GnMatrix, np.ndarray]:
+def gn_leaky(W, V, X, alpha: float) -> tuple[GnMatrix, np.ndarray]:
     """kn x kn reduced GN of a one-hidden piecewise-linear network.
 
     Uses the raw data Gram X^T X without a 1/n factor. Also returns the
@@ -134,8 +132,9 @@ def gn_leaky(W, V, X, alpha: float,
     if v.shape[0] != m or v.shape[1] != x.shape[0]:
         raise DimensionError("W, V, X shapes are inconsistent")
     n = x.shape[1]
-    if k * n > dim_cap:
-        raise DimensionError(f"kn={k * n} exceeds dimension cap {dim_cap}")
+    if k * n > DEFAULT_DIM_CAP:
+        raise DimensionError(
+            f"kn={k * n} exceeds dimension cap {DEFAULT_DIM_CAP}")
     pattern = unit_patterns(v, x, alpha).diagonals
     xtx = x.T @ x
     g = np.zeros((k * n, k * n))
@@ -240,7 +239,7 @@ def gn_from_jacobian(spec: NetworkSpec, params: Params, X,
                     scale_note="1/n" if include_n_factor else "none")
 
 
-def gn_conv(lifted_layers, sigma, dim_cap: int = 10_000) -> GnMatrix:
+def gn_conv(lifted_layers, sigma) -> GnMatrix:
     """GN of the Toeplitz-lifted linear network (dense-layer analysis).
 
     The lifted matrices are treated as independent dense layers, so this
@@ -248,7 +247,7 @@ def gn_conv(lifted_layers, sigma, dim_cap: int = 10_000) -> GnMatrix:
     shared-weight conv parameterization.
     """
     params = Params(layers=tuple(as_matrix(t) for t in lifted_layers))
-    return gn_linear(params, sigma, dim_cap=dim_cap)
+    return gn_linear(params, sigma)
 
 
 def gn_conv_shared(spec: NetworkSpec, params: Params, sigma) -> GnMatrix:

@@ -157,7 +157,12 @@ def _layer_sigma(spec: NetworkSpec, idx: int, scheme, sigma) -> float:
 
 def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
          sigma=1.0) -> Params:
-    """I.i.d. Gaussian init; sigma is only used for scheme='gaussian'."""
+    """I.i.d. Gaussian init, or `init_aligned_svd` for scheme='aligned_svd'.
+
+    sigma is only used for scheme='gaussian'.
+    """
+    if scheme == "aligned_svd":
+        return init_aligned_svd(spec, seed=seed)
     rng = np.random.default_rng(seed)
     layers = []
     for idx, shape in enumerate(spec.layer_shapes()):

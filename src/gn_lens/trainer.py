@@ -4,12 +4,13 @@ condition-number tracing and the desk-scale pruning experiment.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bounds import (
+    LayerTerm,
     bound_deep_convex,
     bound_deep_max,
     bound_leaky,
@@ -24,7 +25,12 @@ from .errors import (
     ValidationError,
 )
 from .gauss_newton import gn_leaky, gn_linear, gn_residual
-from .linalg import RankPolicy, pseudo_condition_number
+from .linalg import (
+    RankPolicy,
+    Spectrum,
+    pseudo_condition_number,
+    sym_eigendecompose,
+)
 from .network import (
     LEAKY_ONE_HIDDEN,
     LINEAR_DEEP,
@@ -32,9 +38,10 @@ from .network import (
     NetworkSpec,
     Params,
     forward,
+    init,
     leaky_relu,
     partial_product,
-    rect_identity,
+    prune_by_magnitude,
 )
 
 DIVERGENCE_LOSS = 1e12
@@ -64,8 +71,8 @@ class Checkpoint:
     kappa: float
     bound_convex: float
     bound_max: float
+    bound_other: float
     ratio: float  # bound_convex / kappa
-    wall_ms: float
 
 
 @dataclass
@@ -112,30 +119,59 @@ def mse_gradient(spec: NetworkSpec, params: Params, X, Y) -> list[np.ndarray]:
     return grads
 
 
+@dataclass(frozen=True)
+class Metrics:
+    """kappa of one instance's GN and the bounds that apply to its kind.
+
+    A bound that does not apply, or whose assumptions fail, is NaN:
+    the depth bounds (convex, max) cover linear and residual networks,
+    bound_other holds the Leaky-ReLU bound.
+    """
+
+    kappa: float
+    spectrum: Spectrum
+    kappa_sigma: float
+    bound_convex: float = math.nan
+    bound_max: float = math.nan
+    bound_other: float = math.nan
+    terms: tuple[LayerTerm, ...] = ()  # per-layer terms of the convex bound
+
+
 def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
-                       policy: RankPolicy | None = None):
-    """(kappa, bound_convex, bound_max) via the analytic GN builders."""
+                       policy: RankPolicy | None = None) -> Metrics:
+    """kappa and every applicable bound via the analytic GN builders."""
     sigma = empirical_covariance(ds)
-    if spec.kind == LINEAR_DEEP:
-        gn = gn_linear(params, sigma)
-        convex = bound_deep_convex(params, sigma).value
-        maximum = bound_deep_max(params, sigma).value
-    elif spec.kind == RESIDUAL:
-        gn = gn_residual(params, spec.beta, sigma)
-        convex = bound_residual_convex(params, spec.beta, sigma).value
-        maximum = bound_residual_max(params, spec.beta, sigma).value
-    elif spec.kind == LEAKY_ONE_HIDDEN:
+    if spec.kind == LEAKY_ONE_HIDDEN:
         v, w = params.layers
         gn, gamma = gn_leaky(w, v, ds.X, spec.alpha)
         try:
-            convex = bound_leaky(w, v, ds.X, spec.alpha, gamma).value
+            other = bound_leaky(w, v, ds.X, spec.alpha, gamma).value
         except DegenerateDataError:
-            convex = float("nan")
-        maximum = float("nan")
+            # Valid only when the data Gram and unit-weight Gram are both
+            # nondegenerate; kappa itself is still well defined.
+            other = math.nan
+        spectrum = gn.spectrum()
+        return Metrics(
+            kappa=pseudo_condition_number(spectrum, policy), spectrum=spectrum,
+            kappa_sigma=pseudo_condition_number(sym_eigendecompose(sigma)),
+            bound_other=other,
+        )
+    if spec.kind == LINEAR_DEEP:
+        gn = gn_linear(params, sigma)
+        convex = bound_deep_convex(params, sigma)
+        maximum = bound_deep_max(params, sigma)
+    elif spec.kind == RESIDUAL:
+        gn = gn_residual(params, spec.beta, sigma)
+        convex = bound_residual_convex(params, spec.beta, sigma)
+        maximum = bound_residual_max(params, spec.beta, sigma)
     else:
-        raise SpecError(f"no analytic GN builder for kind {spec.kind!r}")
-    kappa = pseudo_condition_number(gn.spectrum(), policy)
-    return kappa, convex, maximum
+        raise SpecError(f"kind {spec.kind!r} has no analytic GN builder")
+    spectrum = gn.spectrum()
+    return Metrics(
+        kappa=pseudo_condition_number(spectrum, policy), spectrum=spectrum,
+        kappa_sigma=convex.kappa_sigma, bound_convex=convex.value,
+        bound_max=maximum.value, terms=convex.terms,
+    )
 
 
 def _apply_masks(params: Params) -> Params:
@@ -161,19 +197,18 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
     x_all, y_all = ds.X, ds.Y
     n = ds.n
     trace = TrainTrace()
-    start = time.perf_counter()
 
     def record(epoch: int) -> bool:
         loss = mse_loss(spec, params, x_all, y_all)
         if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
             trace.diverged = True
             return False
-        kappa, convex, maximum = checkpoint_metrics(spec, params, ds, policy)
-        wall = (time.perf_counter() - start) * 1e3
+        m = checkpoint_metrics(spec, params, ds, policy)
         trace.checkpoints.append(
-            Checkpoint(epoch=epoch, loss=loss, kappa=kappa,
-                       bound_convex=convex, bound_max=maximum,
-                       ratio=convex / kappa, wall_ms=wall)
+            Checkpoint(epoch=epoch, loss=loss, kappa=m.kappa,
+                       bound_convex=m.bound_convex, bound_max=m.bound_max,
+                       bound_other=m.bound_other,
+                       ratio=m.bound_convex / m.kappa)
         )
         return True
 
@@ -207,37 +242,39 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
 class PruneCell:
     fraction: float
     seed: int
+    at_init: Metrics  # the pruned network before training
     trace: TrainTrace
-    kappa_init: float
     kappa_end: float
     diverged: bool
+
+    @property
+    def kappa_init(self) -> float:
+        return self.at_init.kappa
 
 
 def pruning_experiment(spec: NetworkSpec, ds: Dataset, fractions, seeds,
                        cfg: TrainConfig, scheme: str = "kaiming_normal",
-                       policy: RankPolicy | None = None) -> list[PruneCell]:
-    """Magnitude-pruning-at-init grid; per-cell divergence is recorded, not raised."""
-    from .network import init, prune_by_magnitude
+                       policy: RankPolicy | None = None,
+                       init_sigma=1.0) -> list[PruneCell]:
+    """Magnitude-pruning-at-init grid; per-cell divergence is recorded, not raised.
 
+    Each cell trains with cfg under its own seed; init_sigma is the `sigma`
+    of `network.init`.
+    """
+    if spec.kind not in TRAINABLE_KINDS:
+        raise SpecError(f"kind {spec.kind!r} is not trainable")
     cells = []
     for seed in seeds:
-        base = init(spec, scheme=scheme, seed=seed)
+        base = init(spec, scheme=scheme, seed=seed, sigma=init_sigma)
         for fraction in fractions:
             pruned = prune_by_magnitude(base, fraction)
-            kappa_init, _, _ = checkpoint_metrics(spec, pruned, ds, policy)
-            run_cfg = TrainConfig(
-                learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-                batch_size=cfg.batch_size, seed=seed,
-                trace_every=cfg.trace_every,
-            )
-            final, trace = train(spec, pruned, ds, run_cfg, policy)
-            if trace.diverged or not trace.checkpoints:
-                kappa_end = float("nan")
-            else:
-                kappa_end = trace.checkpoints[-1].kappa
+            at_init = checkpoint_metrics(spec, pruned, ds, policy)
+            _, trace = train(spec, pruned, ds, replace(cfg, seed=seed), policy)
+            kappa_end = (math.nan if trace.diverged or not trace.checkpoints
+                         else trace.checkpoints[-1].kappa)
             cells.append(
                 PruneCell(fraction=float(fraction), seed=int(seed),
-                          trace=trace, kappa_init=kappa_init,
-                          kappa_end=kappa_end, diverged=trace.diverged)
+                          at_init=at_init, trace=trace, kappa_end=kappa_end,
+                          diverged=trace.diverged)
             )
     return cells
