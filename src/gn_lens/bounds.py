@@ -9,14 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError, DegenerateDataError
+from .errors import AssumptionError, DegenerateDataError, NumericError
 from .linalg import (
     RankPolicy,
     as_matrix,
     pseudo_condition_number,
     sym_eigendecompose,
 )
-from .network import Params, TeacherSpec, partial_product
+from .network import Params, TeacherSpec, layer_products
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,10 @@ class BoundReport:
 
 
 def _svals(m: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(m, compute_uv=False)
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular value decomposition failed: {exc}") from exc
 
 
 def _kappa_sigma(sigma, policy: RankPolicy | None = None) -> float:
@@ -88,11 +91,9 @@ def bound_one_hidden(W, V, sigma,
 
 
 def _depth_terms(params: Params, beta: float) -> list[LayerTerm]:
-    L = len(params.layers)
     raw = []
-    for ell in range(1, L + 1):
-        above = partial_product(params, L, ell + 1, beta)
-        below = partial_product(params, ell - 1, 1, beta)
+    for ell, (above, below) in enumerate(zip(*layer_products(params, beta)),
+                                         start=1):
         sa = _svals(above)
         sb = _svals(below)
         if sa[-1] == 0 or sb[-1] == 0:

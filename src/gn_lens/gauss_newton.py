@@ -38,9 +38,9 @@ from .network import (
     Params,
     TeacherSpec,
     forward,
+    layer_products,
     lift_conv,
     partial_product,
-    rect_identity,
 )
 
 LINEAR_SIGMA_FORM = "linear_sigma_form"
@@ -91,7 +91,6 @@ def gn_residual(params: Params, beta: float, sigma) -> GnMatrix:
 
 def _gn_product_family(params: Params, s_half: np.ndarray,
                        beta: float) -> GnMatrix:
-    L = len(params.layers)
     k = params.layers[-1].shape[0]
     d = params.layers[0].shape[1]
     if s_half.shape[0] != d:
@@ -99,11 +98,16 @@ def _gn_product_family(params: Params, s_half: np.ndarray,
             f"sigma is {s_half.shape[0]}x{s_half.shape[0]} but input width is {d}"
         )
     g = np.zeros((k * d, k * d))
-    for ell in range(1, L + 1):
-        above = partial_product(params, L, ell + 1, beta)  # k x a_ell
-        below = partial_product(params, ell - 1, 1, beta)  # a_{ell-1} x d
-        left = above @ above.T
-        right = s_half @ (below.T @ below) @ s_half
+    # Weights too large for float64 overflow in the products or in their
+    # Gram factors; say so once rather than let kron reject its input.
+    with np.errstate(over="ignore", invalid="ignore"):
+        above, below = layer_products(params, beta)
+        grams = [(a @ a.T, s_half @ (b.T @ b) @ s_half)
+                 for a, b in zip(above, below)]
+    if not all(np.isfinite(f).all() for pair in grams for f in pair):
+        raise NumericError("the products of the weight matrices overflow "
+                           "float64; the weights are too large")
+    for left, right in grams:
         g += kron(left, right)
     return GnMatrix(matrix=_symmetrize(g), family=LINEAR_SIGMA_FORM,
                     scale_note="1/n")
@@ -277,11 +281,11 @@ def gn_conv_shared(spec: NetworkSpec, params: Params, sigma) -> GnMatrix:
             f"{lifted.layers[0].shape[1]} entries"
         )
     lengths = spec.conv_lengths()
-    L = spec.depth
     blocks = []
-    for ell, (mo, mi, kf) in enumerate(shapes, start=1):
-        above = partial_product(lifted, L, ell + 1).reshape(-1, mo, lengths[ell])
-        below = partial_product(lifted, ell - 1, 1) @ s_half
+    for ell, ((mo, mi, kf), above, below) in enumerate(
+            zip(shapes, *layer_products(lifted)), start=1):
+        above = above.reshape(-1, mo, lengths[ell])
+        below = below @ s_half
         # window[b, i, j, t] = below[b * d_prev + i + t, j]
         window = sliding_window_view(
             below.reshape(mi, lengths[ell - 1], -1), kf, axis=1)

@@ -1,5 +1,6 @@
 """Architecture specs, parameter containers, initializers, forward passes,
-partial weight products, Toeplitz lifting of 1-D convolutions, and pruning.
+partial weight products (one range, or all of them via `layer_products`),
+Toeplitz lifting of 1-D convolutions, and pruning.
 
 Layer ell (1-based, as in the product F(x) = W^L ... W^1 x) has shape
 a_ell x a_{ell-1}. Convolutional layers store their weights as a 3-D fibre
@@ -308,6 +309,31 @@ def partial_product(params: Params, hi: int, lo: int, beta: float = 0.0) -> np.n
         wb = w + beta * rect_identity(*w.shape) if beta != 0.0 else w
         out = wb if out is None else out @ wb
     return out
+
+
+def layer_products(params: Params, beta: float = 0.0):
+    """The partial products above and below every layer, in O(L) matmuls.
+
+    Returns two lists indexed by ell - 1 for ell = 1..L:
+    above[ell - 1] = partial_product(params, L, ell + 1, beta), k x a_ell, and
+    below[ell - 1] = partial_product(params, ell - 1, 1, beta), a_{ell-1} x d.
+    The above products are built in partial_product's own order, so they
+    agree with it bit for bit. Each below product multiplies one shifted
+    layer into the last one (a_{ell-1} x a_{ell-2} by a_{ell-2} x d), which
+    reassociates partial_product's chain. Layers are shifted one at a time,
+    so only the thin products are kept.
+    """
+    layers = params.layers
+    L = len(layers)
+    above = [np.eye(layers[-1].shape[0])]
+    for ell in range(L - 1, 0, -1):
+        shifted = partial_product(params, ell + 1, ell + 1, beta)
+        above.append(shifted if ell == L - 1 else above[-1] @ shifted)
+    below = [np.eye(layers[0].shape[1])]
+    for ell in range(2, L + 1):
+        shifted = partial_product(params, ell - 1, ell - 1, beta)
+        below.append(shifted if ell == 2 else shifted @ below[-1])
+    return above[::-1], below
 
 
 def toeplitz_from_filter(w, d: int) -> np.ndarray:

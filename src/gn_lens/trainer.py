@@ -19,6 +19,7 @@ from .bounds import (
 )
 from .data import Dataset, empirical_covariance
 from .errors import (
+    AssumptionError,
     DegenerateDataError,
     DimensionError,
     SpecError,
@@ -39,8 +40,8 @@ from .network import (
     Params,
     forward,
     init,
+    layer_products,
     leaky_relu,
-    partial_product,
     prune_by_magnitude,
 )
 
@@ -96,13 +97,9 @@ def mse_gradient(spec: NetworkSpec, params: Params, X, Y) -> list[np.ndarray]:
     n = X.shape[1]
     if spec.kind in (LINEAR_DEEP, RESIDUAL):
         beta = spec.beta if spec.kind == RESIDUAL else 0.0
-        L = len(params.layers)
         resid = forward(spec, params, X) - Y  # k x n
-        grads = []
-        for ell in range(1, L + 1):
-            above = partial_product(params, L, ell + 1, beta)
-            below_x = partial_product(params, ell - 1, 1, beta) @ X
-            grads.append((above.T @ resid @ below_x.T) / n)
+        grads = [(above.T @ resid @ (below @ X).T) / n
+                 for above, below in zip(*layer_products(params, beta))]
     elif spec.kind == LEAKY_ONE_HIDDEN:
         v, w = params.layers
         z = v @ X
@@ -156,21 +153,30 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
             kappa_sigma=pseudo_condition_number(sym_eigendecompose(sigma)),
             bound_other=other,
         )
-    if spec.kind == LINEAR_DEEP:
-        gn = gn_linear(params, sigma)
-        convex = bound_deep_convex(params, sigma)
-        maximum = bound_deep_max(params, sigma)
-    elif spec.kind == RESIDUAL:
-        gn = gn_residual(params, spec.beta, sigma)
-        convex = bound_residual_convex(params, spec.beta, sigma)
-        maximum = bound_residual_max(params, spec.beta, sigma)
-    else:
+    if spec.kind not in (LINEAR_DEEP, RESIDUAL):
         raise SpecError(f"kind {spec.kind!r} has no analytic GN builder")
+    deep = spec.kind == LINEAR_DEEP
+    gn = gn_linear(params, sigma) if deep else gn_residual(params, spec.beta, sigma)
     spectrum = gn.spectrum()
+    kappa = pseudo_condition_number(spectrum, policy)
+    try:
+        if deep:
+            convex = bound_deep_convex(params, sigma)
+            maximum = bound_deep_max(params, sigma)
+        else:
+            convex = bound_residual_convex(params, spec.beta, sigma)
+            maximum = bound_residual_max(params, spec.beta, sigma)
+    except AssumptionError:
+        # A rank-deficient partial product leaves the depth bounds
+        # undefined; kappa itself is still well defined.
+        return Metrics(
+            kappa=kappa, spectrum=spectrum,
+            kappa_sigma=pseudo_condition_number(sym_eigendecompose(sigma)),
+        )
     return Metrics(
-        kappa=pseudo_condition_number(spectrum, policy), spectrum=spectrum,
-        kappa_sigma=convex.kappa_sigma, bound_convex=convex.value,
-        bound_max=maximum.value, terms=convex.terms,
+        kappa=kappa, spectrum=spectrum, kappa_sigma=convex.kappa_sigma,
+        bound_convex=convex.value, bound_max=maximum.value,
+        terms=convex.terms,
     )
 
 
