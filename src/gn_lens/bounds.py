@@ -9,14 +9,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError, DegenerateDataError, NumericError
+from .errors import AssumptionError, DegenerateDataError
 from .linalg import (
     RankPolicy,
     as_matrix,
     pseudo_condition_number,
+    svdvals,
     sym_eigendecompose,
 )
 from .network import Params, TeacherSpec, layer_products
+
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,6 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
 
-def _svals(m: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular value decomposition failed: {exc}") from exc
-
-
 def _kappa_sigma(sigma, policy: RankPolicy | None = None) -> float:
     return pseudo_condition_number(sym_eigendecompose(as_matrix(sigma)), policy)
 
@@ -67,8 +63,8 @@ def bound_one_hidden(W, V, sigma,
     extreme squared singular values of the two layers."""
     w = as_matrix(W, "W")
     v = as_matrix(V, "V")
-    sw = _svals(w)
-    sv = _svals(v)
+    sw = svdvals(w)
+    sv = svdvals(v)
     den = sw[-1] ** 2 + sv[-1] ** 2
     if den <= 0:
         raise DegenerateDataError("both layers are rank-deficient; bound undefined")
@@ -92,31 +88,45 @@ def bound_one_hidden(W, V, sigma,
 
 def _depth_terms(params: Params, beta: float) -> list[LayerTerm]:
     raw = []
-    for ell, (above, below) in enumerate(zip(*layer_products(params, beta)),
-                                         start=1):
-        sa = _svals(above)
-        sb = _svals(below)
-        if sa[-1] == 0 or sb[-1] == 0:
-            raise AssumptionError(
-                f"alpha_{ell} = 0 (rank-deficient partial product); bound undefined"
-            )
-        raw.append((ell, sa, sb))
-    alphas = np.array([(sa[-1] ** 2) * (sb[-1] ** 2) for _, sa, sb in raw])
-    gammas = alphas / alphas.sum()
+    for ell, products in enumerate(zip(*layer_products(params, beta)),
+                                   start=1):
+        extremes = []
+        for p in products:
+            s = svdvals(p)
+            if s[0] == 0:
+                raise AssumptionError(
+                    f"a partial product at layer {ell} is zero, so its kappa is "
+                    "0/0; bound undefined")
+            # NumPy's matrix_rank cutoff: a singular value at or below it is
+            # rounding noise, so the product is rank-deficient.
+            rank_deficient = s[-1] <= max(p.shape) * _EPS * s[0]
+            extremes.append((s[0], 0.0 if rank_deficient else s[-1]))
+        raw.append((ell, *extremes))
+    alphas = np.array([(sa[1] ** 2) * (sb[1] ** 2) for _, sa, sb in raw])
+    total = alphas.sum()
+    if total == 0:
+        raise AssumptionError(
+            "every alpha_l = 0 (rank-deficient partial products); bound undefined")
+    gammas = alphas / total
     terms = []
-    for (ell, sa, sb), alpha_l, gamma_l in zip(raw, alphas, gammas):
-        k2a = (sa[0] / sa[-1]) ** 2
-        k2b = (sb[0] / sb[-1]) ** 2
+    for (ell, (amax, amin), (bmax, bmin)), alpha_l, gamma_l in zip(
+            raw, alphas, gammas):
+        k2a = (amax / amin) ** 2 if amin else math.inf
+        k2b = (bmax / bmin) ** 2 if bmin else math.inf
+        # gamma_l * k2a * k2b = (amax * bmax)^2 / total, which stays finite
+        # where a rank-deficient product makes gamma_l = 0 and its kappa^2
+        # infinite; only the max bound becomes infinite.
+        weighted = gamma_l * k2a * k2b if alpha_l else (amax * bmax) ** 2 / total
         terms.append(
             LayerTerm(
                 ell=ell,
                 kappa2_above=k2a,
                 kappa2_below=k2b,
-                sig2min_above=sa[-1] ** 2,
-                sig2min_below=sb[-1] ** 2,
+                sig2min_above=amin ** 2,
+                sig2min_below=bmin ** 2,
                 alpha_l=float(alpha_l),
                 gamma_l=float(gamma_l),
-                weighted=float(gamma_l * k2a * k2b),
+                weighted=float(weighted),
             )
         )
     return terms
@@ -186,8 +196,8 @@ def bound_leaky(W, V, X, alpha: float, gamma) -> BoundReport:
     g = as_matrix(gamma, "gamma")
     n = x.shape[1]
     k = w.shape[0]
-    sx = _svals(x)
-    sw = _svals(w)
+    sx = svdvals(x)
+    sw = svdvals(w)
     # lambda_min of the n x n Gram X^T X (zero when n exceeds the rank of X).
     lam_min_xtx = sx[-1] ** 2 if sx.size >= n else 0.0
     lam_min_wwt = sw[-1] ** 2 if sw.size >= k else 0.0
@@ -259,7 +269,7 @@ def bound_functional_hessian(W, V, teacher: TeacherSpec, sigma,
     w = as_matrix(W, "W")
     v = as_matrix(V, "V")
     resid = w @ v - teacher.Z
-    s = _svals(resid)
+    s = svdvals(resid)
     if s[0] <= 0:
         raise DegenerateDataError("zero residual matrix; kappa(H_F) undefined")
     if s[-1] <= 0:

@@ -5,8 +5,9 @@ Three families of GN matrices appear:
   * linear_sigma_form (kd x kd): sum over layers of Kronecker terms built
     from partial weight products and the PSD square root of the input
     covariance; includes the covariance's 1/n.
-  * data_form (kn x kn): per-unit Kronecker sum driven by the raw data Gram
-    matrix X^T X (no 1/n), used for the piecewise-linear one-hidden case.
+  * data_form (kn x kn): one GEMM over the hidden units, masked by the raw
+    data Gram matrix X^T X (no 1/n), used for the piecewise-linear
+    one-hidden case.
   * param_form (p x p): J^T J in the network's own parameters, used for the
     shared-weight conv chain; includes the covariance's 1/n.
 All share their nonzero spectrum with the full parameter-space GN matrix
@@ -27,6 +28,7 @@ from .linalg import (
     as_matrix,
     kron,
     psd_sqrt,
+    svdvals,
     sym_eigendecompose,
 )
 from .network import (
@@ -139,22 +141,18 @@ def gn_leaky(W, V, X, alpha: float) -> tuple[GnMatrix, np.ndarray]:
     if k * n > DEFAULT_DIM_CAP:
         raise DimensionError(
             f"kn={k * n} exceeds dimension cap {DEFAULT_DIM_CAP}")
-    pattern = unit_patterns(v, x, alpha).diagonals
-    xtx = x.T @ x
-    g = np.zeros((k * n, k * n))
-    gamma = np.zeros((n, n))
-    for i in range(m):
-        lam = pattern[i]
-        a_i = (lam[:, None] * xtx) * lam[None, :]
-        w_col = w[:, i : i + 1]
-        g += np.kron(a_i, w_col @ w_col.T)
-        u = lam * (v[i] @ x)
-        gamma += np.outer(u, u)
-    g += np.kron(gamma, np.eye(k))
-    return (
-        GnMatrix(matrix=_symmetrize(g), family=DATA_FORM, scale_note="none"),
-        _symmetrize(gamma),
-    )
+    lam = unit_patterns(v, x, alpha).diagonals
+    # p[(j, c), i] = lam[i, j] * w[c, i]; the V-part of the GN is
+    # (X^T X kron 1 1^T) o (p p^T), the W-part is gamma kron I_k.
+    p = (lam.T[:, None, :] * w[None, :, :]).reshape(n * k, m)
+    u = lam * (v @ x)
+    gamma = u.T @ u
+    # a @ a.T runs as one symmetric rank-m update, so g is exactly symmetric.
+    g = p @ p.T
+    g.reshape(n, k, n, k)[...] *= (x.T @ x)[:, None, :, None]
+    for c in range(k):
+        g[c::k, c::k] += gamma
+    return GnMatrix(matrix=g, family=DATA_FORM, scale_note="none"), gamma
 
 
 def _flatten_params(params: Params) -> np.ndarray:
@@ -314,7 +312,7 @@ def functional_hessian_spectrum(W, V, sigma, teacher: TeacherSpec):
     if v.shape[0] != m or z.shape != (k, d) or sig.shape != (d, d):
         raise DimensionError("W, V, Z, sigma shapes are inconsistent")
     omega = (w @ v - z) @ sig
-    svals = np.linalg.svd(omega, compute_uv=False)
+    svals = svdvals(omega)
     total = (k + d) * m
     values = np.concatenate([
         np.repeat(svals, m),

@@ -168,11 +168,17 @@ def sym_eigendecompose(m, want_vectors: bool = False):
     return spec
 
 
+def svdvals(m: np.ndarray) -> np.ndarray:
+    """Singular values of a 2-D array, descending, as a plain array."""
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular value decomposition failed: {exc}") from exc
+
+
 def singular_values(m) -> Spectrum:
     """Singular values of an arbitrary matrix, descending."""
-    a = as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    return Spectrum.from_values(s)
+    return Spectrum.from_values(svdvals(as_matrix(m)))
 
 
 def kron(a, b, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
@@ -200,7 +206,10 @@ def kron_extreme_eigs(spec_a: Spectrum, spec_b: Spectrum, tol: float = 1e-10):
 def psd_sqrt(m) -> np.ndarray:
     """Unique PSD square root; eigenvalues mildly below 0 are clamped."""
     a = _check_square_symmetric(as_matrix(m))
-    w, q = np.linalg.eigh(a)
+    try:
+        w, q = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     lam_max = w.max(initial=0.0)
     clamp = -1e-10 * max(lam_max, 1.0)
     if w.min(initial=0.0) < clamp:

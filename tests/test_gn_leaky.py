@@ -1,0 +1,86 @@
+"""`gauss_newton.gn_leaky`: the closed-form kn x kn GN of a one-hidden
+Leaky-ReLU network against the per-unit Kronecker sum it replaces, the
+finite-difference Jacobian Gram entry by entry, and the dimension cap."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gn_lens import NetworkSpec, gauss_newton, gn_from_jacobian, gn_leaky, init
+from gn_lens.errors import DimensionError
+from gn_lens.linalg import DEFAULT_DIM_CAP
+
+
+def kron_reference(w, v, x, alpha):
+    """Sum over hidden units i of (Lam_i X^T X Lam_i) kron (w_i w_i^T), plus
+    Gamma kron I_k, where Gamma sums u_i u_i^T with u_i = Lam_i (v_i X)."""
+    k, m = w.shape
+    n = x.shape[1]
+    z = v @ x
+    lam = np.where(z > 0, 1.0, alpha)
+    xtx = x.T @ x
+    g = np.zeros((k * n, k * n))
+    gamma = np.zeros((n, n))
+    for i in range(m):
+        a_i = lam[i][:, None] * xtx * lam[i][None, :]
+        g += np.kron(a_i, np.outer(w[:, i], w[:, i]))
+        u = lam[i] * z[i]
+        gamma += np.outer(u, u)
+    g += np.kron(gamma, np.eye(k))
+    return g, gamma
+
+
+def assert_entrywise(actual, expected, rtol):
+    scale = np.abs(expected).max(initial=0.0)
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale)
+
+
+sizes = st.integers(min_value=1, max_value=11)
+
+
+@given(d=sizes, n=sizes, k=sizes, m=sizes,
+       alpha=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+       zero_columns=st.lists(st.booleans(), min_size=11, max_size=11),
+       seed=st.integers(min_value=0, max_value=2**16))
+@example(d=1, n=1, k=1, m=1, alpha=0.0, zero_columns=[True] * 11, seed=0)
+@example(d=3, n=7, k=4, m=5, alpha=0.01, zero_columns=[False, True] * 5 + [False],
+         seed=1)
+@settings(max_examples=80, deadline=None)
+def test_matches_the_per_unit_kron_sum(d, n, k, m, alpha, zero_columns, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, n))
+    x[:, np.array(zero_columns[:n])] = 0.0  # z = 0 ties take the slope alpha
+    v = rng.standard_normal((m, d))
+    w = rng.standard_normal((k, m))
+    gn, gamma = gn_leaky(w, v, x, alpha)
+    expected_gn, expected_gamma = kron_reference(w, v, x, alpha)
+    assert gn.matrix.shape == (k * n, k * n)
+    assert_entrywise(gn.matrix, expected_gn, 1e-12)
+    assert_entrywise(gamma, expected_gamma, 1e-12)
+    assert np.array_equal(gn.matrix, gn.matrix.T)
+    assert np.array_equal(gamma, gamma.T)
+
+
+def test_equals_the_jacobian_gram_in_sample_output_order():
+    # Rows are stacked sample-major, output-minor, as in the finite-difference
+    # Jacobian; an equal spectrum would not show a permuted order.
+    spec = NetworkSpec(kind="leaky_one_hidden", dims=(5, 9, 2), alpha=0.01)
+    params = init(spec, seed=13)
+    x = np.random.default_rng(12).standard_normal((5, 15))
+    exact, _ = gn_leaky(params.layers[1], params.layers[0], x, 0.01)
+    oracle = gn_from_jacobian(spec, params, x, mode="finite_difference",
+                              include_n_factor=False)
+    assert oracle.matrix.shape == exact.matrix.shape == (30, 30)
+    assert_entrywise(exact.matrix, oracle.matrix, 1e-8)
+
+
+def test_cap_is_checked_before_any_work(monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("gn_leaky went past the dimension cap check")
+
+    monkeypatch.setattr(gauss_newton, "unit_patterns", not_reached)
+    k, n = 73, 137  # kn = 10,001
+    assert k * n == DEFAULT_DIM_CAP + 1
+    with pytest.raises(DimensionError, match="kn=10001"):
+        gn_leaky(np.ones((k, 1)), np.ones((1, 1)), np.ones((1, n)), 0.1)
