@@ -724,6 +724,10 @@ def main(argv=None) -> int:
         log.error("numeric error: %s", exc)
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        log.error("out of memory: %s", exc)
+        print(f"not enough memory for this config: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

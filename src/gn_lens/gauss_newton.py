@@ -21,15 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, NumericError, SpecError
+from .errors import DimensionError, NumericError, SizeError, SpecError
 from .linalg import (
     DEFAULT_DIM_CAP,
     Spectrum,
     as_matrix,
-    kron,
     psd_sqrt,
     svdvals,
     sym_eigendecompose,
+    symmetrize_in_place,
 )
 from .network import (
     LEAKY_ONE_HIDDEN,
@@ -54,6 +54,9 @@ PARAM_FORM = "param_form"
 # from activation kinks and a wider step only reduces cancellation noise.
 _FD_STEP = 1e-6
 
+# Entries of one temporary term while the kd x kd GN is assembled (512 KB).
+_SLAB_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class GnMatrix:
@@ -73,45 +76,56 @@ class UnitActivationPattern:
     alpha: float
 
 
-def _symmetrize(g: np.ndarray) -> np.ndarray:
-    return 0.5 * (g + g.T)
-
-
 def gn_linear(params: Params, sigma) -> GnMatrix:
     """kd x kd reduced GN of a deep linear network for input covariance sigma."""
-    sigma = as_matrix(sigma, "sigma")
-    s_half = psd_sqrt(sigma)
-    return _gn_product_family(params, s_half, beta=0.0)
+    return _gn_product_family(params, sigma, beta=0.0)
 
 
 def gn_residual(params: Params, beta: float, sigma) -> GnMatrix:
     """Same assembly as gn_linear with beta-shifted partial products."""
-    sigma = as_matrix(sigma, "sigma")
-    s_half = psd_sqrt(sigma)
-    return _gn_product_family(params, s_half, beta=beta)
+    return _gn_product_family(params, sigma, beta=beta)
 
 
-def _gn_product_family(params: Params, s_half: np.ndarray,
-                       beta: float) -> GnMatrix:
+def _gn_product_family(params: Params, sigma, beta: float) -> GnMatrix:
     k = params.layers[-1].shape[0]
     d = params.layers[0].shape[1]
+    if k * d > DEFAULT_DIM_CAP:
+        raise SizeError(f"the GN would be {k * d}x{k * d} (k*d with k={k}, "
+                        f"d={d}), which exceeds the cap {DEFAULT_DIM_CAP}")
+    s_half = psd_sqrt(as_matrix(sigma, "sigma"))
     if s_half.shape[0] != d:
         raise DimensionError(
             f"sigma is {s_half.shape[0]}x{s_half.shape[0]} but input width is {d}"
         )
-    g = np.zeros((k * d, k * d))
     # Weights too large for float64 overflow in the products or in their
-    # Gram factors; say so once rather than let kron reject its input.
+    # Gram factors; say so rather than assemble a non-finite GN.
     with np.errstate(over="ignore", invalid="ignore"):
         above, below = layer_products(params, beta)
-        grams = [(a @ a.T, s_half @ (b.T @ b) @ s_half)
-                 for a, b in zip(above, below)]
-    if not all(np.isfinite(f).all() for pair in grams for f in pair):
-        raise NumericError("the products of the weight matrices overflow "
-                           "float64; the weights are too large")
-    for left, right in grams:
-        g += kron(left, right)
-    return GnMatrix(matrix=_symmetrize(g), family=LINEAR_SIGMA_FORM,
+    g = np.zeros((k * d, k * d))
+    g4 = g.reshape(k, d, k, d)
+    for a, b in zip(above, below):
+        # One layer's factors at a time: with k = 1 each d x d `right` is
+        # as large as the GN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            left, right = a @ a.T, s_half @ (b.T @ b) @ s_half
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            raise NumericError("the products of the weight matrices overflow "
+                               "float64; the weights are too large")
+        # Sum kron(left, right) into g through its (k, d, k, d) view,
+        # g4[i, p, j, q] += left[i, j] * right[p, q]: the same products and
+        # sums as np.kron, but in slabs along the longer of k and d, each of
+        # about _SLAB_ENTRIES entries (or one index), not a kd x kd term.
+        if k >= d:
+            step = max(1, _SLAB_ENTRIES // (d * k * d))
+            for i in range(0, k, step):
+                g4[i:i + step] += (left[i:i + step, None, :, None]
+                                   * right[:, None, :])
+        else:
+            step = max(1, _SLAB_ENTRIES // (k * k * d))
+            for p in range(0, d, step):
+                g4[:, p:p + step] += (left[:, None, :, None]
+                                      * right[p:p + step, None, :])
+    return GnMatrix(matrix=symmetrize_in_place(g), family=LINEAR_SIGMA_FORM,
                     scale_note="1/n")
 
 
@@ -234,10 +248,11 @@ def gn_from_jacobian(spec: NetworkSpec, params: Params, X,
     n = x.shape[1]
     scale = 1.0 / n if include_n_factor else 1.0
     if jac.shape[1] <= jac.shape[0]:
-        g = scale * (jac.T @ jac)  # p x p
+        g = jac.T @ jac  # p x p
     else:
-        g = scale * (jac @ jac.T)  # kn x kn
-    return GnMatrix(matrix=_symmetrize(g), family=DATA_FORM,
+        g = jac @ jac.T  # kn x kn
+    g *= scale
+    return GnMatrix(matrix=symmetrize_in_place(g), family=DATA_FORM,
                     scale_note="1/n" if include_n_factor else "none")
 
 
@@ -291,7 +306,7 @@ def gn_conv_shared(spec: NetworkSpec, params: Params, sigma) -> GnMatrix:
         block = np.einsum("cai,bijt->cjabt", above, window)
         blocks.append(block.reshape(-1, mo * mi * kf))
     jac = np.hstack(blocks)
-    return GnMatrix(matrix=_symmetrize(jac.T @ jac), family=PARAM_FORM,
+    return GnMatrix(matrix=symmetrize_in_place(jac.T @ jac), family=PARAM_FORM,
                     scale_note="1/n")
 
 

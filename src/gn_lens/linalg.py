@@ -136,14 +136,51 @@ class RankPolicy:
         return f"absolute({self.cutoff:.3e})"
 
 
+# Side of the square tiles walked by `symmetrize_in_place` and the symmetry
+# check, so that neither holds more than one tile-sized temporary.
+_TILE = 256
+
+
+def _tile_pairs(n: int):
+    """(rows, cols) slices of the tiles of an n x n array on or above the
+    diagonal; each off-diagonal tile stands for itself and its mirror."""
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            yield slice(i, i + _TILE), slice(j, j + _TILE)
+
+
+def symmetrize_in_place(m: np.ndarray) -> np.ndarray:
+    """Overwrite square `m` with 0.5 * (m + m.T) and return it.
+
+    Bit for bit the out-of-place formula: IEEE addition is commutative, so
+    entries (r, c) and (c, r) both get 0.5 * (m[r, c] + m[c, r]).
+    """
+    for rows, cols in _tile_pairs(m.shape[0]):
+        s = 0.5 * (m[rows, cols] + m[cols, rows].T)
+        m[rows, cols] = s
+        m[cols, rows] = s.T
+    return m
+
+
 def _check_square_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """`m` symmetrized, after checking max|m - m.T| <= 1e-10 * max|m|.
+
+    An exactly symmetric `m` is returned itself (0.5 * (m + m) is m exactly);
+    only a merely near-symmetric one is copied.
+    """
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got {m.shape}")
-    scale = np.abs(m).max(initial=0.0)
-    if scale > 0 and np.abs(m - m.T).max() > 1e-10 * scale:
+    scale = max(m.max(initial=0.0), -m.min(initial=0.0))
+    asym = 0.0
+    for rows, cols in _tile_pairs(m.shape[0]):
+        diff = m[rows, cols] - m[cols, rows].T
+        asym = max(asym, np.abs(diff, out=diff).max())
+    if scale > 0 and asym > 1e-10 * scale:
         raise ValidationError(f"{name} is not symmetric within tolerance")
-    # Symmetrize to absorb roundoff from Kronecker assembly.
-    return 0.5 * (m + m.T)
+    if asym == 0:
+        return m
+    # Symmetrize to absorb roundoff from the caller's assembly.
+    return symmetrize_in_place(m.copy())
 
 
 def sym_eigendecompose(m, want_vectors: bool = False):

@@ -69,6 +69,28 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "ok.cfg", ANALYZE_CFG)
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    def test_gn_over_the_cap_is_refused_before_allocation(self, tmp_path,
+                                                          capsys):
+        # kd = 1.2e6: a dense GN would need 10.5 TiB.
+        cfg = write_config(tmp_path, "big.cfg", "data = synthetic\nd = 2000\n"
+                           "n = 8\nkind = linear_deep\nk = 600\nm = 4\nL = 2\n"
+                           "seeds = 0\n")
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "1200000x1200000" in err and "exceeds the cap 10000" in err
+        assert "Traceback" not in err
+
+    def test_out_of_memory(self, tmp_path, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 800. MiB")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_memory)
+        cfg = write_config(tmp_path, "ok.cfg", ANALYZE_CFG)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "not enough memory" in err and "800. MiB" in err
+        assert "Traceback" not in err
+
 
 class TestAnalyze:
     def test_identity_network_on_white_data(self, tmp_path):
