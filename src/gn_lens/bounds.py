@@ -86,12 +86,12 @@ def bound_one_hidden(W, V, sigma,
     )
 
 
-def _depth_terms(params: Params, beta: float) -> list[LayerTerm]:
+def _depth_terms(products) -> list[LayerTerm]:
+    """Per-layer terms from `products = layer_products(params, beta)`."""
     raw = []
-    for ell, products in enumerate(zip(*layer_products(params, beta)),
-                                   start=1):
+    for ell, pair in enumerate(zip(*products), start=1):
         extremes = []
-        for p in products:
+        for p in pair:
             s = svdvals(p)
             if s[0] == 0:
                 raise AssumptionError(
@@ -132,14 +132,14 @@ def _depth_terms(params: Params, beta: float) -> list[LayerTerm]:
     return terms
 
 
-def _depth_bound(params: Params, sigma, beta: float, kind_prefix: str,
+def _depth_bound(params: Params, sigma, products, kind_prefix: str,
                  sigma_policy: RankPolicy | None):
-    terms = _depth_terms(params, beta)
+    terms = _depth_terms(products)
     ks = _kappa_sigma(sigma, sigma_policy)
     convex = float(ks * sum(t.weighted for t in terms))
-    products = [t.kappa2_above * t.kappa2_below for t in terms]
-    argmax = int(np.argmax(products)) + 1
-    maximum = float(ks * max(products))
+    kappa2 = [t.kappa2_above * t.kappa2_below for t in terms]
+    argmax = int(np.argmax(kappa2)) + 1
+    maximum = float(ks * max(kappa2))
     flags = {"wide_hidden": _wide_flag(params)}
     convex_report = BoundReport(
         value=convex, kind=f"{kind_prefix}_convex", kappa_sigma=ks,
@@ -155,22 +155,26 @@ def _depth_bound(params: Params, sigma, beta: float, kind_prefix: str,
 
 def bound_deep_convex(params: Params, sigma,
                       sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, 0.0, "deep", sigma_policy)[0]
+    return _depth_bound(params, sigma, layer_products(params, 0.0), "deep",
+                        sigma_policy)[0]
 
 
 def bound_deep_max(params: Params, sigma,
                    sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, 0.0, "deep", sigma_policy)[1]
+    return _depth_bound(params, sigma, layer_products(params, 0.0), "deep",
+                        sigma_policy)[1]
 
 
 def bound_residual_convex(params: Params, beta: float, sigma,
                           sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, beta, "residual", sigma_policy)[0]
+    return _depth_bound(params, sigma, layer_products(params, beta), "residual",
+                        sigma_policy)[0]
 
 
 def bound_residual_max(params: Params, beta: float, sigma,
                        sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, beta, "residual", sigma_policy)[1]
+    return _depth_bound(params, sigma, layer_products(params, beta), "residual",
+                        sigma_policy)[1]
 
 
 def residual_product_bound(singular_spectra, beta: float, ell: int) -> float:
@@ -283,6 +287,6 @@ def self_balancing_report(params: Params, sigma,
 
     The weighted terms times kappa(Sigma) sum to the convex bound's value.
     """
-    terms = _depth_terms(params, 0.0)
+    terms = _depth_terms(layer_products(params, 0.0))
     ks = _kappa_sigma(sigma, sigma_policy)
     return terms, ks

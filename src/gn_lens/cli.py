@@ -713,19 +713,15 @@ def main(argv=None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         return COMMANDS[args.command](cfg, out_dir, args)
     except ConfigError as exc:
-        log.error("config error: %s", exc)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FormatError, OSError) as exc:
-        log.error("i/o error: %s", exc)
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
     except GnLensError as exc:
-        log.error("numeric error: %s", exc)
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        log.error("out of memory: %s", exc)
         print(f"not enough memory for this config: {exc}", file=sys.stderr)
         return 3
 

@@ -78,32 +78,42 @@ class UnitActivationPattern:
 
 def gn_linear(params: Params, sigma) -> GnMatrix:
     """kd x kd reduced GN of a deep linear network for input covariance sigma."""
-    return _gn_product_family(params, sigma, beta=0.0)
+    return _gn_product_family(params, sigma, _gn_layer_products(params, 0.0))
 
 
 def gn_residual(params: Params, beta: float, sigma) -> GnMatrix:
     """Same assembly as gn_linear with beta-shifted partial products."""
-    return _gn_product_family(params, sigma, beta=beta)
+    return _gn_product_family(params, sigma, _gn_layer_products(params, beta))
 
 
-def _gn_product_family(params: Params, sigma, beta: float) -> GnMatrix:
+def _gn_layer_products(params: Params, beta: float):
+    """`layer_products` for a GN, refused past the dimension cap before
+    anything is built; overflow is left to `_gn_product_family` to report."""
     k = params.layers[-1].shape[0]
     d = params.layers[0].shape[1]
     if k * d > DEFAULT_DIM_CAP:
         raise SizeError(f"the GN would be {k * d}x{k * d} (k*d with k={k}, "
                         f"d={d}), which exceeds the cap {DEFAULT_DIM_CAP}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return layer_products(params, beta)
+
+
+def _gn_product_family(params: Params, sigma, products) -> GnMatrix:
+    """The GN from `products = layer_products(params, beta)`.
+
+    Weights too large for float64 overflow in the products or in their
+    Gram factors; say so rather than assemble a non-finite GN.
+    """
+    k = params.layers[-1].shape[0]
+    d = params.layers[0].shape[1]
     s_half = psd_sqrt(as_matrix(sigma, "sigma"))
     if s_half.shape[0] != d:
         raise DimensionError(
             f"sigma is {s_half.shape[0]}x{s_half.shape[0]} but input width is {d}"
         )
-    # Weights too large for float64 overflow in the products or in their
-    # Gram factors; say so rather than assemble a non-finite GN.
-    with np.errstate(over="ignore", invalid="ignore"):
-        above, below = layer_products(params, beta)
     g = np.zeros((k * d, k * d))
     g4 = g.reshape(k, d, k, d)
-    for a, b in zip(above, below):
+    for a, b in zip(*products):
         # One layer's factors at a time: with k = 1 each d x d `right` is
         # as large as the GN.
         with np.errstate(over="ignore", invalid="ignore"):

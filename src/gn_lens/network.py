@@ -112,7 +112,7 @@ class Params:
         layers = tuple(np.asarray(w, dtype=np.float64) for w in self.layers)
         object.__setattr__(self, "layers", layers)
         for w in layers:
-            if not np.all(np.isfinite(w)):
+            if not np.isfinite(w).all():
                 raise ValidationError("layer weights contain non-finite entries")
         if self.masks is not None:
             masks = tuple(np.asarray(m, dtype=np.float64) for m in self.masks)
@@ -226,6 +226,19 @@ def rect_identity(rows: int, cols: int) -> np.ndarray:
     return np.eye(rows, cols)
 
 
+def _shift(w: np.ndarray, beta: float) -> np.ndarray:
+    """w + beta * rect_identity(*w.shape), without building the identity.
+
+    Adding 0.0 turns -0.0 into +0.0 as the identity's zeros do, and the
+    copy is C-ordered as that sum is, so products of the shifted layer
+    round the same way.
+    """
+    out = np.add(w, 0.0, order="C")
+    # The first min(rows, cols) entries of the diagonal, by flat stride.
+    out.reshape(-1)[::w.shape[1] + 1][:min(w.shape)] += beta
+    return out
+
+
 def leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(z > 0, z, alpha * z)
 
@@ -280,7 +293,7 @@ def forward(spec: NetworkSpec, params: Params, X) -> np.ndarray:
     if spec.kind == RESIDUAL:
         h = x
         for w in params.layers:
-            h = (w + spec.beta * rect_identity(*w.shape)) @ h
+            h = _shift(w, spec.beta) @ h
         return h
     if spec.kind == LEAKY_ONE_HIDDEN:
         v, w = params.layers
@@ -306,7 +319,7 @@ def partial_product(params: Params, hi: int, lo: int, beta: float = 0.0) -> np.n
     out = None
     for i in range(hi, lo - 1, -1):
         w = layers[i - 1]
-        wb = w + beta * rect_identity(*w.shape) if beta != 0.0 else w
+        wb = _shift(w, beta) if beta != 0.0 else w
         out = wb if out is None else out @ wb
     return out
 

@@ -9,14 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import (
-    LayerTerm,
-    bound_deep_convex,
-    bound_deep_max,
-    bound_leaky,
-    bound_residual_convex,
-    bound_residual_max,
-)
+from .bounds import LayerTerm, _depth_bound, bound_leaky
 from .data import Dataset, empirical_covariance
 from .errors import (
     AssumptionError,
@@ -25,7 +18,7 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .gauss_newton import gn_leaky, gn_linear, gn_residual
+from .gauss_newton import _gn_layer_products, _gn_product_family, gn_leaky
 from .linalg import (
     RankPolicy,
     Spectrum,
@@ -156,16 +149,18 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
     if spec.kind not in (LINEAR_DEEP, RESIDUAL):
         raise SpecError(f"kind {spec.kind!r} has no analytic GN builder")
     deep = spec.kind == LINEAR_DEEP
-    gn = gn_linear(params, sigma) if deep else gn_residual(params, spec.beta, sigma)
+    # The partial products of every layer, built once and shared by the GN
+    # and both depth bounds.
+    products = _gn_layer_products(params, 0.0 if deep else spec.beta)
+    gn = _gn_product_family(params, sigma, products)
     spectrum = gn.spectrum()
     kappa = pseudo_condition_number(spectrum, policy)
+    prefix = "deep" if deep else "residual"
     try:
-        if deep:
-            convex = bound_deep_convex(params, sigma)
-            maximum = bound_deep_max(params, sigma)
-        else:
-            convex = bound_residual_convex(params, spec.beta, sigma)
-            maximum = bound_residual_max(params, spec.beta, sigma)
+        # Two evaluations, each with its own SVDs and kappa(Sigma); merging
+        # them is still open (ROADMAP item 2).
+        convex = _depth_bound(params, sigma, products, prefix, None)[0]
+        maximum = _depth_bound(params, sigma, products, prefix, None)[1]
     except AssumptionError:
         # A rank-deficient partial product leaves the depth bounds
         # undefined; kappa itself is still well defined.
@@ -178,13 +173,6 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
         bound_convex=convex.value, bound_max=maximum.value,
         terms=convex.terms,
     )
-
-
-def _apply_masks(params: Params) -> Params:
-    if params.masks is None:
-        return params
-    layers = tuple(w * m for w, m in zip(params.layers, params.masks))
-    return Params(layers=layers, masks=params.masks)
 
 
 def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
@@ -231,13 +219,16 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
                 batches.append((x_all[:, idx], y_all[:, idx]))
         for xb, yb in batches:
             grads = mse_gradient(spec, params, xb, yb)
-            layers = tuple(
-                w - cfg.learning_rate * g for w, g in zip(params.layers, grads)
-            )
-            if not all(np.isfinite(w).all() for w in layers):
+            layers = [w - cfg.learning_rate * g
+                      for w, g in zip(params.layers, grads)]
+            if params.masks is not None:
+                layers = [w * m for w, m in zip(layers, params.masks)]
+            try:
+                params = Params(layers=tuple(layers), masks=params.masks)
+            except ValidationError:
+                # A non-finite step (inf * 0 is NaN under a mask too).
                 trace.diverged = True
                 return params, trace
-            params = _apply_masks(Params(layers=layers, masks=params.masks))
         if epoch % cfg.trace_every == 0 or epoch == cfg.epochs:
             if not record(epoch):
                 return params, trace
