@@ -39,7 +39,6 @@ class LayerTerm:
 @dataclass(frozen=True)
 class BoundReport:
     value: float
-    kind: str
     kappa_sigma: float
     terms: tuple[LayerTerm, ...] = ()
     assumptions_met: dict = field(default_factory=dict)
@@ -75,7 +74,6 @@ def bound_one_hidden(W, V, sigma,
     d, k = v.shape[1], w.shape[0]
     return BoundReport(
         value=value,
-        kind="one_hidden",
         kappa_sigma=ks,
         assumptions_met={"wide_hidden": m > max(d, k)},
         extras={
@@ -132,7 +130,7 @@ def _depth_terms(products) -> list[LayerTerm]:
     return terms
 
 
-def _depth_bound(params: Params, sigma, products, kind_prefix: str,
+def _depth_bound(params: Params, sigma, products,
                  sigma_policy: RankPolicy | None):
     terms = _depth_terms(products)
     ks = _kappa_sigma(sigma, sigma_policy)
@@ -142,12 +140,10 @@ def _depth_bound(params: Params, sigma, products, kind_prefix: str,
     maximum = float(ks * max(kappa2))
     flags = {"wide_hidden": _wide_flag(params)}
     convex_report = BoundReport(
-        value=convex, kind=f"{kind_prefix}_convex", kappa_sigma=ks,
-        terms=tuple(terms), assumptions_met=flags,
+        value=convex, kappa_sigma=ks, terms=tuple(terms), assumptions_met=flags,
     )
     max_report = BoundReport(
-        value=maximum, kind=f"{kind_prefix}_max", kappa_sigma=ks,
-        terms=tuple(terms), assumptions_met=flags,
+        value=maximum, kappa_sigma=ks, terms=tuple(terms), assumptions_met=flags,
         extras={"argmax_ell": argmax},
     )
     return convex_report, max_report
@@ -155,25 +151,25 @@ def _depth_bound(params: Params, sigma, products, kind_prefix: str,
 
 def bound_deep_convex(params: Params, sigma,
                       sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, 0.0), "deep",
+    return _depth_bound(params, sigma, layer_products(params, 0.0),
                         sigma_policy)[0]
 
 
 def bound_deep_max(params: Params, sigma,
                    sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, 0.0), "deep",
+    return _depth_bound(params, sigma, layer_products(params, 0.0),
                         sigma_policy)[1]
 
 
 def bound_residual_convex(params: Params, beta: float, sigma,
                           sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, beta), "residual",
+    return _depth_bound(params, sigma, layer_products(params, beta),
                         sigma_policy)[0]
 
 
 def bound_residual_max(params: Params, beta: float, sigma,
                        sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, beta), "residual",
+    return _depth_bound(params, sigma, layer_products(params, beta),
                         sigma_policy)[1]
 
 
@@ -214,7 +210,6 @@ def bound_leaky(W, V, X, alpha: float, gamma) -> BoundReport:
         raise DegenerateDataError("leaky bound denominator is zero")
     return BoundReport(
         value=num / den,
-        kind="leaky",
         kappa_sigma=float("nan"),
         extras={
             "sig2max_x": sx[0] ** 2,

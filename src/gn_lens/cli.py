@@ -13,10 +13,11 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields, is_dataclass
 
 import numpy as np
 
+from .bounds import LayerTerm
 from .data import (
     Dataset,
     load_csv,
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .linalg import RankPolicy, rank_sensitivity_sweep
 from .network import (
+    INIT_SCHEMES,
     LINEAR_CONV,
     LINEAR_DEEP,
     NetworkSpec,
@@ -51,17 +53,6 @@ from .trainer import (
 )
 
 log = logging.getLogger("gn_lens")
-
-RESULT_COLUMNS = (
-    "experiment", "seed", "L", "m", "d", "k", "n", "beta", "alpha",
-    "fraction", "epoch", "kappa", "bound_convex", "bound_max", "bound_other",
-    "kappa_sigma", "rank_policy", "wall_ms",
-)
-
-TERM_COLUMNS = (
-    "ell", "kappa2_above", "kappa2_below", "sig2min_above", "sig2min_below",
-    "alpha_l", "gamma_l", "weighted",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +166,13 @@ def _as_int_list(cfg, key, default=None):
         raise ConfigError(f"key {key!r}: bad integer list: {cfg[key]!r}") from exc
 
 
+def _at_least(key, value, low):
+    """`value`, read from config key `key`, if it is at least `low`."""
+    if not value >= low:
+        raise ConfigError(f"key {key!r}: must be >= {low}, got {value!r}")
+    return value
+
+
 def parse_rank_policy(text: str) -> RankPolicy | None:
     """'default', 'analytic:<r>', 'relative:<tol>' or 'absolute:<tol>'."""
     if text == "default":
@@ -198,15 +196,15 @@ def _cov_spectrum(cfg, d: int) -> np.ndarray:
     text = cfg.get("cov_spectrum", "ones")
     if text == "ones":
         return np.ones(d)
-    if text.startswith("logspace:"):
-        try:
+    try:
+        if text.startswith("logspace:"):
             a, b = (float(v) for v in text[len("logspace:"):].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad cov_spectrum {text!r}") from exc
-        return np.logspace(a, b, d)
-    values = np.array(
-        [float(v) for v in text.split(",") if v.strip() != ""], dtype=np.float64
-    )
+            return np.logspace(a, b, d)
+        values = np.array(
+            [float(v) for v in text.split(",") if v.strip() != ""],
+            dtype=np.float64)
+    except ValueError as exc:
+        raise ConfigError(f"bad cov_spectrum {text!r}") from exc
     if values.size != d:
         raise ConfigError(f"cov_spectrum lists {values.size} values, need d={d}")
     return values
@@ -215,11 +213,11 @@ def _cov_spectrum(cfg, d: int) -> np.ndarray:
 def load_dataset(cfg: dict) -> Dataset:
     source = cfg.get("data", "synthetic")
     if source == "synthetic":
-        d = _as_int(cfg, "d")
-        n = _as_int(cfg, "n")
+        d = _at_least("d", _as_int(cfg, "d"), 1)
+        n = _at_least("n", _as_int(cfg, "n"), 1)
         ds = synthesize_gaussian(
             d=d, n=n, covariance_spectrum=_cov_spectrum(cfg, d),
-            seed=_as_int(cfg, "data_seed", 0),
+            seed=_at_least("data_seed", _as_int(cfg, "data_seed", 0), 0),
         )
     elif source == "csv":
         if "data_path" not in cfg:
@@ -230,7 +228,7 @@ def load_dataset(cfg: dict) -> Dataset:
             raise ConfigError("data=idx requires data_path")
         ds = load_idx(
             cfg["data_path"], limit=_as_int(cfg, "limit", 0),
-            seed=_as_int(cfg, "data_seed", 0),
+            seed=_at_least("data_seed", _as_int(cfg, "data_seed", 0), 0),
         )
     else:
         raise ConfigError(f"unknown data source {cfg['data']!r}")
@@ -248,29 +246,36 @@ def build_spec(cfg: dict, data_d: int, overrides: dict | None = None) -> Network
     beta = _as_float(values, "beta", 0.0)
     alpha = _as_float(values, "alpha", 0.01)
     if kind == LINEAR_CONV:
-        filters = _as_int(values, "filters")
-        kernel = _as_int(values, "kernel")
+        filters = _at_least("filters", _as_int(values, "filters"), 1)
+        kernel = _at_least("kernel", _as_int(values, "kernel"), 1)
         conv_layers = ((filters, 1, kernel), (filters, filters, kernel))
         return NetworkSpec(kind=kind, dims=(data_d,), conv_layers=conv_layers)
     if "dims" in values:
         dims = tuple(_as_int_list(values, "dims"))
+        if dims[:1] != (data_d,):
+            raise ConfigError(f"key 'dims': must start with the data's "
+                              f"d={data_d}, got {values['dims']!r}")
     else:
         k = _as_int(values, "k")
         m = _as_int(values, "m")
-        depth = _as_int(values, "L", 2)
-        if depth < 1:
-            raise ConfigError("L must be >= 1")
+        depth = _at_least("L", _as_int(values, "L", 2), 1)
         dims = (data_d, *([m] * (depth - 1)), k)
-    if dims[0] != data_d:
-        raise ConfigError(f"dims start with {dims[0]} but data has d={data_d}")
     try:
         return NetworkSpec(kind=kind, dims=dims, beta=beta, alpha=alpha)
     except SpecError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _init_scheme(cfg: dict) -> str:
+    scheme = cfg.get("init", "kaiming_normal")
+    if scheme not in INIT_SCHEMES:
+        raise ConfigError(f"key 'init': unknown scheme {scheme!r}, "
+                          f"expected one of {INIT_SCHEMES}")
+    return scheme
+
+
 def init_params(spec: NetworkSpec, cfg: dict, seed: int) -> Params:
-    return init(spec, scheme=cfg.get("init", "kaiming_normal"), seed=seed,
+    return init(spec, scheme=_init_scheme(cfg), seed=seed,
                 sigma=_as_float(cfg, "init_sigma", 1.0))
 
 
@@ -280,6 +285,7 @@ def _seeds(cfg: dict, args) -> list[int]:
         return [args.seed_override]
     if not seeds:
         raise ConfigError(f"key 'seeds' lists no seed: {cfg['seeds']!r}")
+    _at_least("seeds", min(seeds), 0)
     return seeds
 
 
@@ -308,8 +314,9 @@ class ResultRow:
     rank_policy: object = None
     wall_ms: object = None
 
-    def cells(self) -> list[str]:
-        return [_fmt(getattr(self, f.name)) for f in fields(self)]
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
+TERM_COLUMNS = tuple(f.name for f in fields(LayerTerm))
 
 
 def _fmt(value) -> str:
@@ -324,11 +331,12 @@ def _fmt(value) -> str:
 
 
 def write_rows(path: str, header, rows) -> None:
+    """Rows are tuples, or records whose fields are the header's columns."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = row.cells() if isinstance(row, ResultRow) else [_fmt(v) for v in row]
-            fh.write(",".join(cells) + "\n")
+            values = astuple(row) if is_dataclass(row) else row
+            fh.write(",".join(_fmt(v) for v in values) + "\n")
 
 
 def _row(label: str, seed: int, spec: NetworkSpec, shape: dict,
@@ -469,12 +477,8 @@ def cmd_analyze(cfg: dict, out_dir: str, args) -> int:
                kappa_sigma=result.kappa_sigma)
     write_rows(os.path.join(out_dir, "analysis.csv"), RESULT_COLUMNS, [row])
     if result.terms:
-        term_rows = [
-            (t.ell, t.kappa2_above, t.kappa2_below, t.sig2min_above,
-             t.sig2min_below, t.alpha_l, t.gamma_l, t.weighted)
-            for t in result.terms
-        ]
-        write_rows(os.path.join(out_dir, "terms.csv"), TERM_COLUMNS, term_rows)
+        write_rows(os.path.join(out_dir, "terms.csv"), TERM_COLUMNS,
+                   result.terms)
     if args.spectrum:
         spec_rows = [(i, v) for i, v in enumerate(result.spectrum.values)]
         write_rows(os.path.join(out_dir, "spectrum.csv"),
@@ -496,12 +500,16 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     if not values:
         raise ConfigError("sweep values must be non-empty")
     if axis in ("L", "m", "kernel", "filters"):
+        if not all(v.is_integer() for v in values):
+            raise ConfigError(f"key 'values': axis {axis} takes integers, "
+                              f"got {cfg['values']!r}")
         values = [int(v) for v in values]
     seeds = _seeds(cfg, args)
     ds = load_dataset(cfg)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     label = cfg.get("experiment", "sweep")
-    # A key missing from the config fails every cell alike: report it once.
+    # A missing key or an unknown init fails every cell alike: report it once.
+    _init_scheme(cfg)
     try:
         build_spec(cfg, ds.d, overrides={axis: values[0]})
     except MissingKeyError:
@@ -563,7 +571,8 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
 def _teacher_targets(cfg: dict, spec: NetworkSpec, ds: Dataset) -> Dataset:
     if ds.Y is not None:
         return ds
-    rng = np.random.default_rng(_as_int(cfg, "teacher_seed", 10_000))
+    rng = np.random.default_rng(
+        _at_least("teacher_seed", _as_int(cfg, "teacher_seed", 10_000), 0))
     k = spec.dims[-1]
     z = rng.standard_normal((k, ds.d)) / np.sqrt(ds.d)
     return Dataset(X=ds.X, Y=z @ ds.X, name=ds.name)
@@ -571,11 +580,11 @@ def _teacher_targets(cfg: dict, spec: NetworkSpec, ds: Dataset) -> Dataset:
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
     return TrainConfig(
-        learning_rate=_as_float(cfg, "lr"),
-        epochs=_as_int(cfg, "epochs"),
+        learning_rate=_at_least("lr", _as_float(cfg, "lr"), 0),
+        epochs=_at_least("epochs", _as_int(cfg, "epochs"), 0),
         batch_size=_as_int(cfg, "batch_size", 0),
         seed=seed,
-        trace_every=_as_int(cfg, "trace_every", 1),
+        trace_every=_at_least("trace_every", _as_int(cfg, "trace_every", 1), 1),
     )
 
 
@@ -629,7 +638,7 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
     shape = _shape_columns(spec, with_targets)
     cells = pruning_experiment(
         spec, with_targets, fractions, seeds, _train_config(cfg, 0),
-        scheme=cfg.get("init", "kaiming_normal"), policy=policy,
+        scheme=_init_scheme(cfg), policy=policy,
         init_sigma=_as_float(cfg, "init_sigma", 1.0))
     rows = []
     for cell in cells:

@@ -1,17 +1,18 @@
 """Exact Gauss-Newton matrices for every supported architecture, a brute-force
 Jacobian oracle, and the functional (residual-driven) Hessian.
 
-Three families of GN matrices appear:
-  * linear_sigma_form (kd x kd): sum over layers of Kronecker terms built
-    from partial weight products and the PSD square root of the input
-    covariance; includes the covariance's 1/n.
-  * data_form (kn x kn): one GEMM over the hidden units, masked by the raw
+The builders return the GN in one of three forms:
+  * kd x kd (gn_linear, gn_residual, gn_conv): sum over layers of Kronecker
+    terms built from partial weight products and the PSD square root of the
+    input covariance; includes the covariance's 1/n.
+  * kn x kn (gn_leaky): one GEMM over the hidden units, masked by the raw
     data Gram matrix X^T X (no 1/n), used for the piecewise-linear
     one-hidden case.
-  * param_form (p x p): J^T J in the network's own parameters, used for the
-    shared-weight conv chain; includes the covariance's 1/n.
+  * p x p (gn_conv_shared): J^T J in the network's own parameters, used for
+    the shared-weight conv chain; includes the covariance's 1/n.
+gn_from_jacobian returns p x p or kn x kn, with 1/n unless told otherwise.
 All share their nonzero spectrum with the full parameter-space GN matrix
-(up to the recorded 1/n scale); condition numbers are scale-invariant.
+(up to the 1/n scale); condition numbers are scale-invariant.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .linalg import (
     symmetrize_in_place,
 )
 from .network import (
-    LEAKY_ONE_HIDDEN,
     LINEAR_CONV,
     LINEAR_DEEP,
     RESIDUAL,
@@ -44,10 +44,6 @@ from .network import (
     lift_conv,
     partial_product,
 )
-
-LINEAR_SIGMA_FORM = "linear_sigma_form"
-DATA_FORM = "data_form"
-PARAM_FORM = "param_form"
 
 # Larger than sqrt(machine eps): the forwards are piecewise linear in
 # each parameter, so the central difference has no truncation error away
@@ -61,8 +57,6 @@ _SLAB_ENTRIES = 1 << 16
 @dataclass(frozen=True)
 class GnMatrix:
     matrix: np.ndarray
-    family: str
-    scale_note: str  # "1/n" if the empirical 1/n factor is included, else "none"
 
     def spectrum(self) -> Spectrum:
         return sym_eigendecompose(self.matrix)
@@ -135,8 +129,7 @@ def _gn_product_family(params: Params, sigma, products) -> GnMatrix:
             for p in range(0, d, step):
                 g4[:, p:p + step] += (left[:, None, :, None]
                                       * right[p:p + step, None, :])
-    return GnMatrix(matrix=symmetrize_in_place(g), family=LINEAR_SIGMA_FORM,
-                    scale_note="1/n")
+    return GnMatrix(matrix=symmetrize_in_place(g))
 
 
 def unit_patterns(V, X, alpha: float) -> UnitActivationPattern:
@@ -176,7 +169,7 @@ def gn_leaky(W, V, X, alpha: float) -> tuple[GnMatrix, np.ndarray]:
     g.reshape(n, k, n, k)[...] *= (x.T @ x)[:, None, :, None]
     for c in range(k):
         g[c::k, c::k] += gamma
-    return GnMatrix(matrix=g, family=DATA_FORM, scale_note="none"), gamma
+    return GnMatrix(matrix=g), gamma
 
 
 def _flatten_params(params: Params) -> np.ndarray:
@@ -262,8 +255,7 @@ def gn_from_jacobian(spec: NetworkSpec, params: Params, X,
     else:
         g = jac @ jac.T  # kn x kn
     g *= scale
-    return GnMatrix(matrix=symmetrize_in_place(g), family=DATA_FORM,
-                    scale_note="1/n" if include_n_factor else "none")
+    return GnMatrix(matrix=symmetrize_in_place(g))
 
 
 def gn_conv(lifted_layers, sigma) -> GnMatrix:
@@ -316,8 +308,7 @@ def gn_conv_shared(spec: NetworkSpec, params: Params, sigma) -> GnMatrix:
         block = np.einsum("cai,bijt->cjabt", above, window)
         blocks.append(block.reshape(-1, mo * mi * kf))
     jac = np.hstack(blocks)
-    return GnMatrix(matrix=symmetrize_in_place(jac.T @ jac), family=PARAM_FORM,
-                    scale_note="1/n")
+    return GnMatrix(matrix=symmetrize_in_place(jac.T @ jac))
 
 
 def functional_hessian_spectrum(W, V, sigma, teacher: TeacherSpec):

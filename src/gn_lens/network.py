@@ -9,9 +9,10 @@ array (out_channels, in_channels, kernel) instead of a dense matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionError,
@@ -30,6 +31,8 @@ LINEAR_BN_ONE_HIDDEN = "linear_bn_one_hidden"
 KINDS = (LINEAR_DEEP, RESIDUAL, LEAKY_ONE_HIDDEN, LINEAR_CONV, LINEAR_BN_ONE_HIDDEN)
 
 BN_EPS = 1e-5
+
+INIT_SCHEMES = ("kaiming_normal", "xavier_normal", "gaussian", "aligned_svd")
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,8 @@ class NetworkSpec:
                 raise SpecError("dims must list at least input and output width")
             if self.kind in (LEAKY_ONE_HIDDEN, LINEAR_BN_ONE_HIDDEN) and len(dims) != 3:
                 raise SpecError("one-hidden kinds need dims = [d, m, k]")
-        if self.kind == RESIDUAL and self.beta < 0:
-            raise SpecError("beta must be >= 0")
+        if self.kind == RESIDUAL and not 0 <= self.beta < np.inf:
+            raise SpecError(f"beta must be finite and >= 0, got {self.beta}")
         if self.kind == LEAKY_ONE_HIDDEN and not 0 <= self.alpha <= 1:
             raise SpecError("alpha must lie in [0, 1]")
 
@@ -256,20 +259,12 @@ def conv_forward(spec: NetworkSpec, params: Params, X: np.ndarray) -> np.ndarray
     X is (in_channels * input_length) x n; output is (m_L * d_L) x n with
     channel-major row-wise vectorization, matching the Toeplitz lifting.
     """
-    lengths = spec.conv_lengths()
     n = X.shape[1]
-    m_in = spec.conv_layers[0][1]
-    h = X.T.reshape(n, m_in, lengths[0])
-    for idx, (mo, mi, kf) in enumerate(spec.conv_layers):
-        fib = params.layers[idx]
-        d_out = lengths[idx + 1]
-        out = np.zeros((n, mo, d_out))
-        for a in range(mo):
-            for b in range(mi):
-                w = fib[a, b]
-                for j in range(n):
-                    out[j, a] += np.correlate(h[j, b], w, mode="valid")
-        h = out
+    h = X.T.reshape(n, spec.conv_layers[0][1], spec.dims[0])
+    for fib in params.layers:
+        # h[j, a, i] <- sum over b, t of h[j, b, i + t] * fib[a, b, t]
+        window = sliding_window_view(h, fib.shape[2], axis=2)
+        h = np.einsum("jbit,abt->jai", window, fib)
     return h.reshape(n, -1).T
 
 

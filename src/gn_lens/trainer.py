@@ -155,12 +155,11 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
     gn = _gn_product_family(params, sigma, products)
     spectrum = gn.spectrum()
     kappa = pseudo_condition_number(spectrum, policy)
-    prefix = "deep" if deep else "residual"
     try:
         # Two evaluations, each with its own SVDs and kappa(Sigma); merging
         # them is still open (ROADMAP item 2).
-        convex = _depth_bound(params, sigma, products, prefix, None)[0]
-        maximum = _depth_bound(params, sigma, products, prefix, None)[1]
+        convex = _depth_bound(params, sigma, products, None)[0]
+        maximum = _depth_bound(params, sigma, products, None)[1]
     except AssumptionError:
         # A rank-deficient partial product leaves the depth bounds
         # undefined; kappa itself is still well defined.
@@ -193,7 +192,8 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
     trace = TrainTrace()
 
     def record(epoch: int) -> bool:
-        loss = mse_loss(spec, params, x_all, y_all)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = mse_loss(spec, params, x_all, y_all)
         if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
             trace.diverged = True
             return False
@@ -218,11 +218,13 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
                 idx = perm[s : s + cfg.batch_size]
                 batches.append((x_all[:, idx], y_all[:, idx]))
         for xb, yb in batches:
-            grads = mse_gradient(spec, params, xb, yb)
-            layers = [w - cfg.learning_rate * g
-                      for w, g in zip(params.layers, grads)]
-            if params.masks is not None:
-                layers = [w * m for w, m in zip(layers, params.masks)]
+            # A diverging step overflows; `Params` below reports it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                grads = mse_gradient(spec, params, xb, yb)
+                layers = [w - cfg.learning_rate * g
+                          for w, g in zip(params.layers, grads)]
+                if params.masks is not None:
+                    layers = [w * m for w, m in zip(layers, params.masks)]
             try:
                 params = Params(layers=tuple(layers), masks=params.masks)
             except ValidationError:

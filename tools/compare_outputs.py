@@ -93,6 +93,13 @@ CLI_CASES = [
              "m = 8\nL = 3\n"),
     ("exit2_missing_values", "sweep", [],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\naxis = L\n"),
+    ("exit2_negative_seed", "analyze", [],
+     "data = synthetic\nd = 6\nn = 64\nseeds = -1\nkind = linear_deep\n"
+     "k = 2\nm = 8\nL = 3\n"),
+    ("exit2_residual_beta_nan", "analyze", [],
+     RESIDUAL.replace("beta = 0.5", "beta = nan") + "k = 3\nm = 10\nL = 4\n"),
+    ("exit2_fractional_depth", "sweep", [],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\naxis = L\nvalues = 2.5\n"),
     ("exit3_cap", "analyze", [],
      "data = synthetic\nd = 2000\nn = 8\nkind = linear_deep\nk = 600\n"
      "m = 4\nL = 2\nseeds = 0\n"),
