@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import AssumptionError, DegenerateDataError
 from .linalg import (
-    RankPolicy,
     as_matrix,
     pseudo_condition_number,
     svdvals,
@@ -45,8 +44,8 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
 
-def _kappa_sigma(sigma, policy: RankPolicy | None = None) -> float:
-    return pseudo_condition_number(sym_eigendecompose(as_matrix(sigma)), policy)
+def _kappa_sigma(sigma) -> float:
+    return pseudo_condition_number(sym_eigendecompose(as_matrix(sigma)))
 
 
 def _wide_flag(params: Params) -> bool:
@@ -56,8 +55,7 @@ def _wide_flag(params: Params) -> bool:
     return all(h > max(d, k) for h in hidden)
 
 
-def bound_one_hidden(W, V, sigma,
-                     sigma_policy: RankPolicy | None = None) -> BoundReport:
+def bound_one_hidden(W, V, sigma) -> BoundReport:
     """One-hidden-layer linear bound: kappa(Sigma) times the ratio of summed
     extreme squared singular values of the two layers."""
     w = as_matrix(W, "W")
@@ -68,7 +66,7 @@ def bound_one_hidden(W, V, sigma,
     if den <= 0:
         raise DegenerateDataError("both layers are rank-deficient; bound undefined")
     beta_w = sw[-1] ** 2 / den
-    ks = _kappa_sigma(sigma, sigma_policy)
+    ks = _kappa_sigma(sigma)
     value = ks * (sw[0] ** 2 + sv[0] ** 2) / den
     m = w.shape[1]
     d, k = v.shape[1], w.shape[0]
@@ -130,10 +128,9 @@ def _depth_terms(products) -> list[LayerTerm]:
     return terms
 
 
-def _depth_bound(params: Params, sigma, products,
-                 sigma_policy: RankPolicy | None):
+def _depth_bound(params: Params, sigma, products):
     terms = _depth_terms(products)
-    ks = _kappa_sigma(sigma, sigma_policy)
+    ks = _kappa_sigma(sigma)
     convex = float(ks * sum(t.weighted for t in terms))
     kappa2 = [t.kappa2_above * t.kappa2_below for t in terms]
     argmax = int(np.argmax(kappa2)) + 1
@@ -149,28 +146,20 @@ def _depth_bound(params: Params, sigma, products,
     return convex_report, max_report
 
 
-def bound_deep_convex(params: Params, sigma,
-                      sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, 0.0),
-                        sigma_policy)[0]
+def bound_deep_convex(params: Params, sigma) -> BoundReport:
+    return _depth_bound(params, sigma, layer_products(params, 0.0))[0]
 
 
-def bound_deep_max(params: Params, sigma,
-                   sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, 0.0),
-                        sigma_policy)[1]
+def bound_deep_max(params: Params, sigma) -> BoundReport:
+    return _depth_bound(params, sigma, layer_products(params, 0.0))[1]
 
 
-def bound_residual_convex(params: Params, beta: float, sigma,
-                          sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, beta),
-                        sigma_policy)[0]
+def bound_residual_convex(params: Params, beta: float, sigma) -> BoundReport:
+    return _depth_bound(params, sigma, layer_products(params, beta))[0]
 
 
-def bound_residual_max(params: Params, beta: float, sigma,
-                       sigma_policy: RankPolicy | None = None) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, beta),
-                        sigma_policy)[1]
+def bound_residual_max(params: Params, beta: float, sigma) -> BoundReport:
+    return _depth_bound(params, sigma, layer_products(params, beta))[1]
 
 
 def residual_product_bound(singular_spectra, beta: float, ell: int) -> float:
@@ -262,8 +251,7 @@ def bound_gaussian_asymptotic(m: int, d: int, k: int, sigma_w2: float,
     return kappa_sigma * num / den
 
 
-def bound_functional_hessian(W, V, teacher: TeacherSpec, sigma,
-                             sigma_policy: RankPolicy | None = None) -> float:
+def bound_functional_hessian(W, V, teacher: TeacherSpec, sigma) -> float:
     """kappa bound on the functional Hessian in the teacher-student setting."""
     w = as_matrix(W, "W")
     v = as_matrix(V, "V")
@@ -273,15 +261,13 @@ def bound_functional_hessian(W, V, teacher: TeacherSpec, sigma,
         raise DegenerateDataError("zero residual matrix; kappa(H_F) undefined")
     if s[-1] <= 0:
         raise DegenerateDataError("rank-deficient residual matrix")
-    return float(s[0] / s[-1]) * _kappa_sigma(sigma, sigma_policy)
+    return float(s[0] / s[-1]) * _kappa_sigma(sigma)
 
 
-def self_balancing_report(params: Params, sigma,
-                          sigma_policy: RankPolicy | None = None):
+def self_balancing_report(params: Params, sigma):
     """Per-ell table exposing the self-balancing of the convex bound's terms.
 
     The weighted terms times kappa(Sigma) sum to the convex bound's value.
     """
-    terms = _depth_terms(layer_products(params, 0.0))
-    ks = _kappa_sigma(sigma, sigma_policy)
-    return terms, ks
+    report = bound_deep_convex(params, sigma)
+    return report.terms, report.kappa_sigma

@@ -260,10 +260,7 @@ def build_spec(cfg: dict, data_d: int, overrides: dict | None = None) -> Network
         m = _as_int(values, "m")
         depth = _at_least("L", _as_int(values, "L", 2), 1)
         dims = (data_d, *([m] * (depth - 1)), k)
-    try:
-        return NetworkSpec(kind=kind, dims=dims, beta=beta, alpha=alpha)
-    except SpecError as exc:
-        raise ConfigError(str(exc)) from exc
+    return NetworkSpec(kind=kind, dims=dims, beta=beta, alpha=alpha)
 
 
 def _init_scheme(cfg: dict) -> str:
@@ -282,7 +279,7 @@ def init_params(spec: NetworkSpec, cfg: dict, seed: int) -> Params:
 def _seeds(cfg: dict, args) -> list[int]:
     seeds = _as_int_list(cfg, "seeds", [0])
     if args.seed_override is not None:
-        return [args.seed_override]
+        return [_at_least("--seed-override", args.seed_override, 0)]
     if not seeds:
         raise ConfigError(f"key 'seeds' lists no seed: {cfg['seeds']!r}")
     _at_least("seeds", min(seeds), 0)
@@ -339,14 +336,22 @@ def write_rows(path: str, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in values) + "\n")
 
 
-def _row(label: str, seed: int, spec: NetworkSpec, shape: dict,
+def _row(label: str, seed: int, spec: NetworkSpec, ds: Dataset,
          policy: RankPolicy | None, result, **columns) -> ResultRow:
     """A result row from a Metrics or a Checkpoint (which has no kappa_sigma)."""
+    if spec.kind == LINEAR_CONV:
+        m = spec.conv_layers[0][0]
+        k = spec.conv_lengths()[-1] * spec.conv_layers[-1][0]
+    else:
+        hidden = spec.dims[1:-1]
+        m, k = (max(hidden) if hidden else None), spec.dims[-1]
     return ResultRow(
-        experiment=label, seed=seed, beta=spec.beta, alpha=spec.alpha,
-        kappa=result.kappa, bound_convex=result.bound_convex,
-        bound_max=result.bound_max, bound_other=result.bound_other,
-        rank_policy=_policy_column(policy), **shape, **columns,
+        experiment=label, seed=seed, L=spec.depth, m=m, d=ds.d, k=k, n=ds.n,
+        beta=spec.beta, alpha=spec.alpha, kappa=result.kappa,
+        bound_convex=result.bound_convex, bound_max=result.bound_max,
+        bound_other=result.bound_other,
+        rank_policy="default" if policy is None else policy.describe(),
+        **columns,
     )
 
 
@@ -366,27 +371,7 @@ def evaluate_instance(spec: NetworkSpec, params: Params, ds: Dataset,
         spec = NetworkSpec(kind=LINEAR_DEEP, dims=(
             lifted[0].shape[1], *(t.shape[0] for t in lifted)))
         params = Params(layers=tuple(lifted))
-    try:
-        return checkpoint_metrics(spec, params, ds, policy)
-    except SpecError as exc:  # the config chose a kind without a GN builder
-        raise ConfigError(str(exc)) from exc
-
-
-def _shape_columns(spec: NetworkSpec, ds: Dataset) -> dict:
-    if spec.kind == LINEAR_CONV:
-        return {
-            "L": spec.depth, "m": spec.conv_layers[0][0], "d": ds.d,
-            "k": spec.conv_lengths()[-1] * spec.conv_layers[-1][0], "n": ds.n,
-        }
-    hidden = spec.dims[1:-1]
-    return {
-        "L": spec.depth, "m": max(hidden) if hidden else None, "d": ds.d,
-        "k": spec.dims[-1], "n": ds.n,
-    }
-
-
-def _policy_column(policy: RankPolicy | None) -> str:
-    return "default" if policy is None else policy.describe()
+    return checkpoint_metrics(spec, params, ds, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +457,8 @@ def cmd_analyze(cfg: dict, out_dir: str, args) -> int:
     seed = _seeds(cfg, args)[0]
     params = init_params(spec, cfg, seed)
     result = evaluate_instance(spec, params, ds, policy)
-    row = _row(cfg.get("experiment", "analyze"), seed, spec,
-               _shape_columns(spec, ds), policy, result,
-               kappa_sigma=result.kappa_sigma)
+    row = _row(cfg.get("experiment", "analyze"), seed, spec, ds, policy,
+               result, kappa_sigma=result.kappa_sigma)
     write_rows(os.path.join(out_dir, "analysis.csv"), RESULT_COLUMNS, [row])
     if result.terms:
         write_rows(os.path.join(out_dir, "terms.csv"), TERM_COLUMNS,
@@ -522,9 +506,8 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
         spec = build_spec(cfg, ds.d, overrides={axis: value})
         params = init_params(spec, cfg, seed)
         result = evaluate_instance(spec, params, ds, policy)
-        return _row(f"{label}:{axis}={value}", seed, spec,
-                    _shape_columns(spec, ds), policy, result,
-                    kappa_sigma=result.kappa_sigma)
+        return _row(f"{label}:{axis}={value}", seed, spec, ds, policy,
+                    result, kappa_sigma=result.kappa_sigma)
 
     cells = [
         (ci * len(seeds) + si, value, seed)
@@ -575,7 +558,7 @@ def _teacher_targets(cfg: dict, spec: NetworkSpec, ds: Dataset) -> Dataset:
         _at_least("teacher_seed", _as_int(cfg, "teacher_seed", 10_000), 0))
     k = spec.dims[-1]
     z = rng.standard_normal((k, ds.d)) / np.sqrt(ds.d)
-    return Dataset(X=ds.X, Y=z @ ds.X, name=ds.name)
+    return Dataset(X=ds.X, Y=z @ ds.X)
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
@@ -595,7 +578,6 @@ def cmd_train(cfg: dict, out_dir: str, args) -> int:
     seeds = _seeds(cfg, args)
     label = cfg.get("experiment", "train")
     with_targets = _teacher_targets(cfg, spec, ds)
-    shape = _shape_columns(spec, with_targets)
     rows = []
     traces = []
     for seed in seeds:
@@ -603,7 +585,7 @@ def cmd_train(cfg: dict, out_dir: str, args) -> int:
         _, trace = train(spec, params, with_targets, _train_config(cfg, seed),
                          policy)
         traces.append((seed, trace))
-        rows += [_row(label, seed, spec, shape, policy, cp, epoch=cp.epoch)
+        rows += [_row(label, seed, spec, ds, policy, cp, epoch=cp.epoch)
                  for cp in trace.checkpoints]
         if trace.diverged:
             log.warning("seed %d diverged", seed)
@@ -635,19 +617,18 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
     fractions = _as_float_list(cfg, "fractions", [0.0, 0.5, 0.9])
     label = cfg.get("experiment", "prune")
     with_targets = _teacher_targets(cfg, spec, ds)
-    shape = _shape_columns(spec, with_targets)
     cells = pruning_experiment(
         spec, with_targets, fractions, seeds, _train_config(cfg, 0),
         scheme=_init_scheme(cfg), policy=policy,
         init_sigma=_as_float(cfg, "init_sigma", 1.0))
     rows = []
     for cell in cells:
-        rows.append(_row(label, cell.seed, spec, shape, policy, cell.at_init,
+        rows.append(_row(label, cell.seed, spec, ds, policy, cell.at_init,
                          fraction=cell.fraction, epoch=0,
                          kappa_sigma=cell.at_init.kappa_sigma))
         if cell.trace.checkpoints:
             cp = cell.trace.checkpoints[-1]
-            rows.append(_row(label, cell.seed, spec, shape, policy, cp,
+            rows.append(_row(label, cell.seed, spec, ds, policy, cp,
                              fraction=cell.fraction, epoch=cp.epoch))
     write_rows(os.path.join(out_dir, "prune.csv"), RESULT_COLUMNS, rows)
     return 0
@@ -721,7 +702,9 @@ def main(argv=None) -> int:
         out_dir = args.out
         os.makedirs(out_dir, exist_ok=True)
         return COMMANDS[args.command](cfg, out_dir, args)
-    except ConfigError as exc:
+    except (ConfigError, SpecError) as exc:
+        # Every spec the CLI builds comes from the config, so an
+        # inconsistent spec is a config error too.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FormatError, OSError) as exc:

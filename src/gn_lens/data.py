@@ -16,13 +16,7 @@ from .errors import (
     FormatError,
     ValidationError,
 )
-from .linalg import (
-    RankPolicy,
-    Spectrum,
-    as_matrix,
-    pseudo_condition_number,
-    sym_eigendecompose,
-)
+from .linalg import as_matrix, pseudo_condition_number, sym_eigendecompose
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -32,7 +26,6 @@ IDX_MAGIC_LABELS = 0x00000801
 class Dataset:
     X: np.ndarray  # d x n
     Y: np.ndarray | None = None  # k x n
-    name: str = ""
 
     def __post_init__(self):
         x = as_matrix(self.X, "X")
@@ -88,7 +81,7 @@ def whiten(ds: Dataset, eigen_floor: float = 1e-10) -> tuple[Dataset, WhitenRepo
     transform = (q * inv_sqrt) @ q.T
     kappa_before = pseudo_condition_number(spec)
     retained = int(keep.sum())
-    white = Dataset(X=transform @ ds.X, Y=ds.Y, name=ds.name + ":whitened")
+    white = Dataset(X=transform @ ds.X, Y=ds.Y)
     wcov_spec = sym_eigendecompose(empirical_covariance(white))
     kappa_after = float(
         wcov_spec.values[0] / wcov_spec.values[retained - 1]
@@ -133,7 +126,7 @@ def load_idx(path, limit: int = 0, seed: int = 0) -> Dataset:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(x.shape[1], size=limit, replace=False))
         x = x[:, idx]
-    return Dataset(X=x, name=str(path))
+    return Dataset(X=x)
 
 
 def load_csv(path, label_column: bool = False) -> Dataset:
@@ -160,8 +153,8 @@ def load_csv(path, label_column: bool = False) -> Dataset:
     if label_column:
         if mat.shape[0] < 2:
             raise FormatError("label column requested but only one column")
-        return Dataset(X=mat[:-1, :], Y=mat[-1:, :], name=str(path))
-    return Dataset(X=mat, name=str(path))
+        return Dataset(X=mat[:-1, :], Y=mat[-1:, :])
+    return Dataset(X=mat)
 
 
 def write_csv(path, ds: Dataset) -> None:
@@ -189,7 +182,7 @@ def synthesize_gaussian(
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     z = rng.standard_normal((d, n))
     x = q @ (np.sqrt(spectrum)[:, None] * z)
-    return Dataset(X=x, name=f"gaussian(d={d},n={n},seed={seed})")
+    return Dataset(X=x)
 
 
 def avg_pool_downsample(ds: Dataset, h: int, w: int, factor: int) -> Dataset:
@@ -205,4 +198,4 @@ def avg_pool_downsample(ds: Dataset, h: int, w: int, factor: int) -> Dataset:
         n, c, h // factor, factor, w // factor, factor
     ).mean(axis=(3, 5))
     x = pooled.reshape(n, c * (h // factor) * (w // factor)).T
-    return Dataset(X=x, Y=ds.Y, name=ds.name + f":pool{factor}")
+    return Dataset(X=x, Y=ds.Y)

@@ -26,6 +26,9 @@ DEFAULT_DIM_CAP = 10_000
 
 _EPS = np.finfo(np.float64).eps
 
+# PSD eigenvalues down to -_PSD_CLAMP * max(lambda_max, 1) count as roundoff.
+_PSD_CLAMP = 1e-10
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a 2-D float64 array with finite entries."""
@@ -61,11 +64,9 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_values(cls, values, tolerance: float | None = None) -> "Spectrum":
+    def from_values(cls, values) -> "Spectrum":
         v = np.sort(np.asarray(values, dtype=np.float64))[::-1]
-        if tolerance is None:
-            scale = np.abs(v).max(initial=0.0)
-            tolerance = v.size * _EPS * scale
+        tolerance = v.size * _EPS * np.abs(v).max(initial=0.0)
         rank = int(np.sum(np.abs(v) > tolerance))
         return cls(values=v, numerical_rank=rank, tolerance=float(tolerance))
 
@@ -162,25 +163,37 @@ def symmetrize_in_place(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _check_square_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _check_square_symmetric(m: np.ndarray) -> np.ndarray:
     """`m` symmetrized, after checking max|m - m.T| <= 1e-10 * max|m|.
 
     An exactly symmetric `m` is returned itself (0.5 * (m + m) is m exactly);
     only a merely near-symmetric one is copied.
     """
     if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got {m.shape}")
+        raise DimensionError(f"matrix must be square, got {m.shape}")
     scale = max(m.max(initial=0.0), -m.min(initial=0.0))
     asym = 0.0
     for rows, cols in _tile_pairs(m.shape[0]):
         diff = m[rows, cols] - m[cols, rows].T
         asym = max(asym, np.abs(diff, out=diff).max())
     if scale > 0 and asym > 1e-10 * scale:
-        raise ValidationError(f"{name} is not symmetric within tolerance")
+        raise ValidationError("matrix is not symmetric within tolerance")
     if asym == 0:
         return m
     # Symmetrize to absorb roundoff from the caller's assembly.
     return symmetrize_in_place(m.copy())
+
+
+def _eigh(m, want_vectors: bool):
+    """LAPACK's eigenvalues of a (near-)symmetric matrix, ascending, and with
+    want_vectors the matching eigenvectors as columns (else None)."""
+    a = _check_square_symmetric(as_matrix(m))
+    try:
+        if want_vectors:
+            return np.linalg.eigh(a)
+        return np.linalg.eigvalsh(a), None
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
 
 
 def sym_eigendecompose(m, want_vectors: bool = False):
@@ -189,15 +202,7 @@ def sym_eigendecompose(m, want_vectors: bool = False):
     Returns a Spectrum with eigenvalues descending; with want_vectors, also
     the matrix whose columns are the matching orthonormal eigenvectors.
     """
-    a = _check_square_symmetric(as_matrix(m))
-    try:
-        if want_vectors:
-            w, q = np.linalg.eigh(a)
-        else:
-            w = np.linalg.eigvalsh(a)
-            q = None
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+    w, q = _eigh(m, want_vectors)
     order = np.argsort(w)[::-1]
     spec = Spectrum.from_values(w[order])
     if want_vectors:
@@ -229,10 +234,10 @@ def kron(a, b, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     return np.kron(a, b)
 
 
-def kron_extreme_eigs(spec_a: Spectrum, spec_b: Spectrum, tol: float = 1e-10):
+def kron_extreme_eigs(spec_a: Spectrum, spec_b: Spectrum):
     """(lambda_min, lambda_max) of A kron B from the PSD factor spectra."""
     for s in (spec_a, spec_b):
-        floor = -tol * max(abs(s.max), 1.0)
+        floor = -_PSD_CLAMP * max(abs(s.max), 1.0)
         if s.min < floor:
             raise PsdViolationError(
                 f"spectrum has negative eigenvalue {s.min:.3e}; PSD required"
@@ -242,13 +247,10 @@ def kron_extreme_eigs(spec_a: Spectrum, spec_b: Spectrum, tol: float = 1e-10):
 
 def psd_sqrt(m) -> np.ndarray:
     """Unique PSD square root; eigenvalues mildly below 0 are clamped."""
-    a = _check_square_symmetric(as_matrix(m))
-    try:
-        w, q = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    lam_max = w.max(initial=0.0)
-    clamp = -1e-10 * max(lam_max, 1.0)
+    # Kept in LAPACK's ascending order: reordering the eigenpairs changes how
+    # the product below rounds.
+    w, q = _eigh(m, True)
+    clamp = -_PSD_CLAMP * max(w.max(initial=0.0), 1.0)
     if w.min(initial=0.0) < clamp:
         raise PsdViolationError(
             f"eigenvalue {w.min():.3e} below PSD clamp threshold {clamp:.3e}"

@@ -176,7 +176,7 @@ def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
 
 
 def init_aligned_svd(spec: NetworkSpec, singular_value_law="abs_gaussian",
-                     sigma: float = 1.0, explicit=None, seed: int = 0) -> Params:
+                     explicit=None, seed: int = 0) -> Params:
     """Initializer with coinciding singular bases across layers.
 
     All hidden layers share one seeded orthogonal basis Q and are symmetric
@@ -200,7 +200,7 @@ def init_aligned_svd(spec: NetworkSpec, singular_value_law="abs_gaussian",
 
     def draw(count, idx):
         if singular_value_law == "abs_gaussian":
-            return np.abs(sigma * rng.standard_normal(count))
+            return np.abs(rng.standard_normal(count))
         if singular_value_law == "explicit":
             vals = np.asarray(explicit[idx], dtype=np.float64)
             if vals.size != count:
@@ -246,11 +246,11 @@ def leaky_relu(z: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(z > 0, z, alpha * z)
 
 
-def batch_norm(h: np.ndarray, eps: float = BN_EPS) -> np.ndarray:
+def batch_norm(h: np.ndarray) -> np.ndarray:
     """Normalize each hidden coordinate across the batch; no learnable affine."""
     mean = h.mean(axis=1, keepdims=True)
     var = h.var(axis=1, keepdims=True)
-    return (h - mean) / np.sqrt(var + eps)
+    return (h - mean) / np.sqrt(var + BN_EPS)
 
 
 def conv_forward(spec: NetworkSpec, params: Params, X: np.ndarray) -> np.ndarray:

@@ -158,8 +158,8 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
     try:
         # Two evaluations, each with its own SVDs and kappa(Sigma); merging
         # them is still open (ROADMAP item 2).
-        convex = _depth_bound(params, sigma, products, None)[0]
-        maximum = _depth_bound(params, sigma, products, None)[1]
+        convex = _depth_bound(params, sigma, products)[0]
+        maximum = _depth_bound(params, sigma, products)[1]
     except AssumptionError:
         # A rank-deficient partial product leaves the depth bounds
         # undefined; kappa itself is still well defined.

@@ -32,11 +32,11 @@ BASES = {
 }
 
 
-def run(tmp_path, command, cfg):
+def run(tmp_path, command, cfg, *flags):
     path = tmp_path / "case.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
     return main([command, "--config", str(path), "--out",
-                 str(tmp_path / "out"), "--jobs", "1"])
+                 str(tmp_path / "out"), "--jobs", "1", *flags])
 
 
 # (base, key, value, fragment of the message that names the key)
@@ -71,6 +71,45 @@ def test_bad_value_is_a_config_error_naming_its_key(tmp_path, capsys, base,
                                                     key, value, fragment):
     command, cfg = BASES[base]
     assert run(tmp_path, command, {**cfg, key: value}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert fragment in err and "Traceback" not in err
+
+
+TRAIN_CONV = {**TRAIN, "d": "8", "kind": "linear_conv", "filters": "2",
+              "kernel": "3"}
+TRAIN_BN = {**TRAIN, "kind": "linear_bn_one_hidden", "L": "2"}
+
+# id -> (command, config, CLI flags, fragment of the message): a spec the
+# config makes inconsistent, or a flag value out of range.
+BAD_SPECS = {
+    "conv_kernel_over_signal": (
+        "analyze", {**CONV, "kernel": "9"}, (),
+        "kernel 9 exceeds signal length 8"),
+    "conv_kernel_over_second_signal": (
+        "analyze", {**CONV, "kernel": "5"}, (),
+        "kernel 5 exceeds signal length 4"),
+    "train_conv": ("train", TRAIN_CONV, (), "'linear_conv' is not trainable"),
+    "prune_conv": ("prune", TRAIN_CONV, (), "'linear_conv' is not trainable"),
+    "train_bn": ("train", TRAIN_BN, (),
+                 "'linear_bn_one_hidden' is not trainable"),
+    "prune_bn": ("prune", TRAIN_BN, (),
+                 "'linear_bn_one_hidden' is not trainable"),
+    "aligned_unequal_hidden": (
+        "analyze", {**DEEP, "dims": "4,6,8,2", "init": "aligned_svd"}, (),
+        "equal (square) hidden widths"),
+    "analyze_bn": ("analyze", {**DEEP, "kind": "linear_bn_one_hidden",
+                               "L": "2"}, (), "no analytic GN builder"),
+    "negative_seed_override": ("analyze", DEEP, ("--seed-override", "-1"),
+                               "'--seed-override'"),
+}
+
+
+@pytest.mark.parametrize("command, cfg, flags, fragment",
+                         list(BAD_SPECS.values()), ids=list(BAD_SPECS))
+def test_bad_spec_is_a_config_error(tmp_path, capsys, command, cfg, flags,
+                                    fragment):
+    assert run(tmp_path, command, cfg, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert fragment in err and "Traceback" not in err

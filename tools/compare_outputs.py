@@ -100,6 +100,13 @@ CLI_CASES = [
      RESIDUAL.replace("beta = 0.5", "beta = nan") + "k = 3\nm = 10\nL = 4\n"),
     ("exit2_fractional_depth", "sweep", [],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\naxis = L\nvalues = 2.5\n"),
+    ("exit2_conv_kernel_over_signal", "analyze", [],
+     "data = synthetic\nd = 8\nn = 64\nkind = linear_conv\nfilters = 2\n"
+     "kernel = 9\nseeds = 0\n"),
+    ("exit2_untrainable_kind", "train", [],
+     SMALL + TRAIN + "kind = linear_bn_one_hidden\nk = 2\nm = 8\n"),
+    ("exit2_negative_seed_override", "analyze", ["--seed-override", "-1"],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
     ("exit3_cap", "analyze", [],
      "data = synthetic\nd = 2000\nn = 8\nkind = linear_deep\nk = 600\n"
      "m = 4\nL = 2\nseeds = 0\n"),
