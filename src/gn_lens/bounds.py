@@ -128,7 +128,8 @@ def _depth_terms(products) -> list[LayerTerm]:
     return terms
 
 
-def _depth_bound(params: Params, sigma, products):
+def depth_bounds(params: Params, sigma, products):
+    """The (convex, max) depth bounds from `layer_products(params, beta)`."""
     terms = _depth_terms(products)
     ks = _kappa_sigma(sigma)
     convex = float(ks * sum(t.weighted for t in terms))
@@ -147,19 +148,19 @@ def _depth_bound(params: Params, sigma, products):
 
 
 def bound_deep_convex(params: Params, sigma) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, 0.0))[0]
+    return depth_bounds(params, sigma, layer_products(params, 0.0))[0]
 
 
 def bound_deep_max(params: Params, sigma) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, 0.0))[1]
+    return depth_bounds(params, sigma, layer_products(params, 0.0))[1]
 
 
 def bound_residual_convex(params: Params, beta: float, sigma) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, beta))[0]
+    return depth_bounds(params, sigma, layer_products(params, beta))[0]
 
 
 def bound_residual_max(params: Params, beta: float, sigma) -> BoundReport:
-    return _depth_bound(params, sigma, layer_products(params, beta))[1]
+    return depth_bounds(params, sigma, layer_products(params, beta))[1]
 
 
 def residual_product_bound(singular_spectra, beta: float, ell: int) -> float:

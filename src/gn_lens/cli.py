@@ -8,7 +8,6 @@ outputs are byte-deterministic for a given config and seed list.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
@@ -37,6 +36,7 @@ from .errors import (
 from .linalg import RankPolicy, rank_sensitivity_sweep
 from .network import (
     INIT_SCHEMES,
+    LINEAR_BN_ONE_HIDDEN,
     LINEAR_CONV,
     LINEAR_DEEP,
     NetworkSpec,
@@ -51,9 +51,6 @@ from .trainer import (
     pruning_experiment,
     train,
 )
-
-log = logging.getLogger("gn_lens")
-
 
 # ---------------------------------------------------------------------------
 # Config parsing
@@ -107,63 +104,53 @@ def parse_config(path: str, command: str) -> dict:
     return cfg
 
 
-def _as_int(cfg, key, default=None):
+def _read(cfg, key, default, parse, what):
+    """`parse(cfg[key])`, or `default` (None: required) if the key is absent."""
     if key not in cfg:
         if default is None:
             raise MissingKeyError(f"missing required key {key!r}")
         return default
     try:
-        return int(cfg[key])
+        return parse(cfg[key])
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not an integer: {cfg[key]!r}") from exc
+        raise ConfigError(f"key {key!r}: {what}: {cfg[key]!r}") from exc
+
+
+def _float_list(text):
+    return [float(v) for v in text.split(",") if v.strip() != ""]
+
+
+def _int_list(text):
+    if ".." in text:
+        lo, hi = text.split("..")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(v) for v in text.split(",") if v.strip() != ""]
+
+
+def _as_int(cfg, key, default=None):
+    return _read(cfg, key, default, int, "not an integer")
 
 
 def _as_float(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise MissingKeyError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {cfg[key]!r}") from exc
+    return _read(cfg, key, default, float, "not a number")
 
 
-def _as_bool(cfg, key, default=False):
-    if key not in cfg:
-        return default
-    value = cfg[key].lower()
+def _as_float_list(cfg, key, default=None):
+    return _read(cfg, key, default, _float_list, "bad number list")
+
+
+def _as_int_list(cfg, key, default=None):
+    return _read(cfg, key, default, _int_list, "bad integer list")
+
+
+def _as_bool(cfg, key):
+    """False where the key is absent."""
+    value = cfg.get(key, "false").lower()
     if value in ("true", "1", "yes", "on"):
         return True
     if value in ("false", "0", "no", "off"):
         return False
     raise ConfigError(f"key {key!r}: not a boolean: {cfg[key]!r}")
-
-
-def _as_float_list(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise MissingKeyError(f"missing required key {key!r}")
-        return list(default)
-    try:
-        return [float(v) for v in cfg[key].split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: bad number list: {cfg[key]!r}") from exc
-
-
-def _as_int_list(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise MissingKeyError(f"missing required key {key!r}")
-        return list(default)
-    value = cfg[key]
-    try:
-        if ".." in value:
-            lo, hi = value.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(v) for v in value.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: bad integer list: {cfg[key]!r}") from exc
 
 
 def _at_least(key, value, low):
@@ -200,9 +187,7 @@ def _cov_spectrum(cfg, d: int) -> np.ndarray:
         if text.startswith("logspace:"):
             a, b = (float(v) for v in text[len("logspace:"):].split(","))
             return np.logspace(a, b, d)
-        values = np.array(
-            [float(v) for v in text.split(",") if v.strip() != ""],
-            dtype=np.float64)
+        values = np.array(_float_list(text), dtype=np.float64)
     except ValueError as exc:
         raise ConfigError(f"bad cov_spectrum {text!r}") from exc
     if values.size != d:
@@ -329,11 +314,13 @@ def _fmt(value) -> str:
 
 def write_rows(path: str, header, rows) -> None:
     """Rows are tuples, or records whose fields are the header's columns."""
+    lines = [header, *(astuple(r) if is_dataclass(r) else r for r in rows)]
+    _write_text(path, "".join(",".join(map(_fmt, line)) + "\n" for line in lines))
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            values = astuple(row) if is_dataclass(row) else row
-            fh.write(",".join(_fmt(v) for v in values) + "\n")
+        fh.write(text)
 
 
 def _row(label: str, seed: int, spec: NetworkSpec, ds: Dataset,
@@ -464,12 +451,10 @@ def cmd_analyze(cfg: dict, out_dir: str, args) -> int:
         write_rows(os.path.join(out_dir, "terms.csv"), TERM_COLUMNS,
                    result.terms)
     if args.spectrum:
-        spec_rows = [(i, v) for i, v in enumerate(result.spectrum.values)]
         write_rows(os.path.join(out_dir, "spectrum.csv"),
-                   ("index", "eigenvalue"), spec_rows)
+                   ("index", "eigenvalue"), enumerate(result.spectrum.values))
         write_rows(os.path.join(out_dir, "rank_sensitivity.csv"),
                    ("rank", "kappa"), rank_sensitivity_sweep(result.spectrum))
-    log.info("analyze: kappa=%g", result.kappa)
     return 0
 
 
@@ -492,62 +477,57 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset(cfg)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     label = cfg.get("experiment", "sweep")
-    # A missing key or an unknown init fails every cell alike: report it once.
+    # A missing key, an unknown init, a kind with no GN builder, or an init
+    # that fails on explicit dims (which no axis changes) fails every cell
+    # alike: report it once.
     _init_scheme(cfg)
     try:
-        build_spec(cfg, ds.d, overrides={axis: values[0]})
+        spec = build_spec(cfg, ds.d, overrides={axis: values[0]})
     except MissingKeyError:
         raise
     except GnLensError:
-        pass  # a bad axis value fails only its own cells
+        spec = None  # a bad axis value fails only its own cells
+    if cfg.get("kind") == LINEAR_BN_ONE_HIDDEN:
+        raise SpecError(f"kind {LINEAR_BN_ONE_HIDDEN!r} has no analytic GN builder")
+    if spec is not None and "dims" in cfg:
+        init_params(spec, cfg, seeds[0])
 
     def run_cell(cell):
-        cell_idx, value, seed = cell
-        spec = build_spec(cfg, ds.d, overrides={axis: value})
-        params = init_params(spec, cfg, seed)
-        result = evaluate_instance(spec, params, ds, policy)
-        return _row(f"{label}:{axis}={value}", seed, spec, ds, policy,
-                    result, kappa_sigma=result.kappa_sigma)
+        """The cell's row, or the error that failed it."""
+        value, seed = cell
+        try:
+            spec = build_spec(cfg, ds.d, overrides={axis: value})
+            params = init_params(spec, cfg, seed)
+            result = evaluate_instance(spec, params, ds, policy)
+            return _row(f"{label}:{axis}={value}", seed, spec, ds, policy,
+                        result, kappa_sigma=result.kappa_sigma)
+        except GnLensError as exc:
+            return exc
 
-    cells = [
-        (ci * len(seeds) + si, value, seed)
-        for ci, value in enumerate(values)
-        for si, seed in enumerate(seeds)
-    ]
-    jobs = args.jobs or os.cpu_count() or 1
-    results: list[ResultRow | None] = [None] * len(cells)
-    failures = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(run_cell, cell): cell for cell in cells}
-        for future, cell in futures.items():
-            try:
-                results[cell[0]] = future.result()
-            except GnLensError as exc:
-                failures.append((cell, exc))
-                log.warning("cell %s failed: %s", cell, exc)
-    rows = [r for r in results if r is not None]
+    cells = [(value, seed) for value in values for seed in seeds]
+    with ThreadPoolExecutor(max_workers=args.jobs or os.cpu_count() or 1) as pool:
+        results = list(pool.map(run_cell, cells))
+    failures = [f"cell {i} ({axis}={value}, seed={seed}): {result}\n"
+                for i, ((value, seed), result) in enumerate(zip(cells, results))
+                if isinstance(result, GnLensError)]
     if failures:
-        with open(os.path.join(out_dir, "errors.log"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            for (idx, value, seed), exc in failures:
-                fh.write(f"cell {idx} ({axis}={value}, seed={seed}): {exc}\n")
+        _write_text(os.path.join(out_dir, "errors.log"), "".join(failures))
+    rows = [row for row in results if isinstance(row, ResultRow)]
     if not rows:
         raise DegenerateDataError("every sweep cell failed")
     write_rows(os.path.join(out_dir, "sweep.csv"), RESULT_COLUMNS, rows)
     if args.svg:
         per_value = {}
-        for row, (_, value, _) in zip(results, cells):
-            if row is not None:
+        for (value, _), row in zip(cells, results):
+            if isinstance(row, ResultRow):
                 per_value.setdefault(float(value), []).append(row.kappa)
         xs = sorted(per_value)
         med = [float(np.median(per_value[x])) for x in xs]
         std = [float(np.std(per_value[x])) for x in xs]
-        svg = render_svg([("kappa", xs, med, std)],
-                         title=f"{label}: kappa vs {axis}",
-                         x_label=axis, y_label="kappa")
-        with open(os.path.join(out_dir, "sweep.svg"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
+        _write_text(os.path.join(out_dir, "sweep.svg"),
+                    render_svg([("kappa", xs, med, std)],
+                               title=f"{label}: kappa vs {axis}",
+                               x_label=axis, y_label="kappa"))
     return 0
 
 
@@ -587,11 +567,8 @@ def cmd_train(cfg: dict, out_dir: str, args) -> int:
         traces.append((seed, trace))
         rows += [_row(label, seed, spec, ds, policy, cp, epoch=cp.epoch)
                  for cp in trace.checkpoints]
-        if trace.diverged:
-            log.warning("seed %d diverged", seed)
     write_rows(os.path.join(out_dir, "trace.csv"), RESULT_COLUMNS, rows)
     if args.svg and any(t.checkpoints for _, t in traces):
-        panels = []
         for name, grab in (("loss", lambda c: c.loss), ("kappa", lambda c: c.kappa)):
             series = [
                 (f"{name} seed {seed}",
@@ -600,12 +577,9 @@ def cmd_train(cfg: dict, out_dir: str, args) -> int:
                  [0.0] * len(t.checkpoints))
                 for seed, t in traces if t.checkpoints
             ]
-            panels.append((name, render_svg(series, title=f"{label}: {name}",
-                                            x_label="epoch", y_label=name)))
-        for name, svg in panels:
-            with open(os.path.join(out_dir, f"trace_{name}.svg"), "w",
-                      encoding="utf-8", newline="\n") as fh:
-                fh.write(svg)
+            _write_text(os.path.join(out_dir, f"trace_{name}.svg"),
+                        render_svg(series, title=f"{label}: {name}",
+                                   x_label="epoch", y_label=name))
     return 0
 
 
@@ -635,9 +609,7 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
 
 
 def cmd_whiten(cfg: dict, out_dir: str, args) -> int:
-    raw_cfg = dict(cfg)
-    raw_cfg["whiten"] = "false"
-    ds = load_dataset(raw_cfg)
+    ds = load_dataset({**cfg, "whiten": "false"})
     white, report = whiten(ds, eigen_floor=_as_float(cfg, "eigen_floor", 1e-10))
     write_csv(os.path.join(out_dir, "whitened.csv"), white)
     write_rows(
@@ -645,7 +617,6 @@ def cmd_whiten(cfg: dict, out_dir: str, args) -> int:
         ("kappa_before", "kappa_after", "eigen_floor"),
         [(report.kappa_before, report.kappa_after, report.eigen_floor)],
     )
-    log.info("whiten: kappa %g -> %g", report.kappa_before, report.kappa_after)
     return 0
 
 
@@ -660,17 +631,6 @@ COMMANDS = {
 
 # ---------------------------------------------------------------------------
 # Entry point
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("GN_LENS_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO,
-              "debug": logging.DEBUG}
-    logging.basicConfig(
-        level=levels.get(level_name, logging.ERROR),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -695,13 +655,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, args.command)
-        out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
-        return COMMANDS[args.command](cfg, out_dir, args)
+        os.makedirs(args.out, exist_ok=True)
+        return COMMANDS[args.command](cfg, args.out, args)
     except (ConfigError, SpecError) as exc:
         # Every spec the CLI builds comes from the config, so an
         # inconsistent spec is a config error too.

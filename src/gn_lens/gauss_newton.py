@@ -72,17 +72,17 @@ class UnitActivationPattern:
 
 def gn_linear(params: Params, sigma) -> GnMatrix:
     """kd x kd reduced GN of a deep linear network for input covariance sigma."""
-    return _gn_product_family(params, sigma, _gn_layer_products(params, 0.0))
+    return gn_from_products(params, sigma, gn_layer_products(params, 0.0))
 
 
 def gn_residual(params: Params, beta: float, sigma) -> GnMatrix:
     """Same assembly as gn_linear with beta-shifted partial products."""
-    return _gn_product_family(params, sigma, _gn_layer_products(params, beta))
+    return gn_from_products(params, sigma, gn_layer_products(params, beta))
 
 
-def _gn_layer_products(params: Params, beta: float):
+def gn_layer_products(params: Params, beta: float):
     """`layer_products` for a GN, refused past the dimension cap before
-    anything is built; overflow is left to `_gn_product_family` to report."""
+    anything is built; overflow is left to `gn_from_products` to report."""
     k = params.layers[-1].shape[0]
     d = params.layers[0].shape[1]
     if k * d > DEFAULT_DIM_CAP:
@@ -92,7 +92,7 @@ def _gn_layer_products(params: Params, beta: float):
         return layer_products(params, beta)
 
 
-def _gn_product_family(params: Params, sigma, products) -> GnMatrix:
+def gn_from_products(params: Params, sigma, products) -> GnMatrix:
     """The GN from `products = layer_products(params, beta)`.
 
     Weights too large for float64 overflow in the products or in their

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import LayerTerm, _depth_bound, bound_leaky
+from .bounds import LayerTerm, bound_leaky, depth_bounds
 from .data import Dataset, empirical_covariance
 from .errors import (
     AssumptionError,
@@ -18,7 +18,7 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .gauss_newton import _gn_layer_products, _gn_product_family, gn_leaky
+from .gauss_newton import gn_from_products, gn_layer_products, gn_leaky
 from .linalg import (
     RankPolicy,
     Spectrum,
@@ -131,47 +131,41 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
                        policy: RankPolicy | None = None) -> Metrics:
     """kappa and every applicable bound via the analytic GN builders."""
     sigma = empirical_covariance(ds)
+    bounds = {}
     if spec.kind == LEAKY_ONE_HIDDEN:
         v, w = params.layers
         gn, gamma = gn_leaky(w, v, ds.X, spec.alpha)
         try:
-            other = bound_leaky(w, v, ds.X, spec.alpha, gamma).value
+            bounds["bound_other"] = bound_leaky(w, v, ds.X, spec.alpha, gamma).value
         except DegenerateDataError:
             # Valid only when the data Gram and unit-weight Gram are both
             # nondegenerate; kappa itself is still well defined.
-            other = math.nan
+            pass
         spectrum = gn.spectrum()
-        return Metrics(
-            kappa=pseudo_condition_number(spectrum, policy), spectrum=spectrum,
-            kappa_sigma=pseudo_condition_number(sym_eigendecompose(sigma)),
-            bound_other=other,
-        )
-    if spec.kind not in (LINEAR_DEEP, RESIDUAL):
+        kappa = pseudo_condition_number(spectrum, policy)
+    elif spec.kind in (LINEAR_DEEP, RESIDUAL):
+        # The partial products of every layer, built once and shared by the
+        # GN and both depth bounds.
+        products = gn_layer_products(
+            params, 0.0 if spec.kind == LINEAR_DEEP else spec.beta)
+        spectrum = gn_from_products(params, sigma, products).spectrum()
+        kappa = pseudo_condition_number(spectrum, policy)
+        try:
+            # Two evaluations, each with its own SVDs and kappa(Sigma);
+            # merging them is still open (ROADMAP item 2).
+            convex = depth_bounds(params, sigma, products)[0]
+            maximum = depth_bounds(params, sigma, products)[1]
+            bounds = dict(kappa_sigma=convex.kappa_sigma, bound_convex=convex.value,
+                          bound_max=maximum.value, terms=convex.terms)
+        except AssumptionError:
+            # A rank-deficient partial product leaves the depth bounds
+            # undefined; kappa itself is still well defined.
+            pass
+    else:
         raise SpecError(f"kind {spec.kind!r} has no analytic GN builder")
-    deep = spec.kind == LINEAR_DEEP
-    # The partial products of every layer, built once and shared by the GN
-    # and both depth bounds.
-    products = _gn_layer_products(params, 0.0 if deep else spec.beta)
-    gn = _gn_product_family(params, sigma, products)
-    spectrum = gn.spectrum()
-    kappa = pseudo_condition_number(spectrum, policy)
-    try:
-        # Two evaluations, each with its own SVDs and kappa(Sigma); merging
-        # them is still open (ROADMAP item 2).
-        convex = _depth_bound(params, sigma, products)[0]
-        maximum = _depth_bound(params, sigma, products)[1]
-    except AssumptionError:
-        # A rank-deficient partial product leaves the depth bounds
-        # undefined; kappa itself is still well defined.
-        return Metrics(
-            kappa=kappa, spectrum=spectrum,
-            kappa_sigma=pseudo_condition_number(sym_eigendecompose(sigma)),
-        )
-    return Metrics(
-        kappa=kappa, spectrum=spectrum, kappa_sigma=convex.kappa_sigma,
-        bound_convex=convex.value, bound_max=maximum.value,
-        terms=convex.terms,
-    )
+    if "kappa_sigma" not in bounds:
+        bounds["kappa_sigma"] = pseudo_condition_number(sym_eigendecompose(sigma))
+    return Metrics(kappa=kappa, spectrum=spectrum, **bounds)
 
 
 def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,

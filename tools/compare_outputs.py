@@ -75,6 +75,8 @@ CLI_CASES = [
     ("sweep_filters", "sweep", [],
      "data = synthetic\nd = 14\nn = 64\nkind = linear_conv\nkernel = 3\n"
      "axis = filters\nvalues = 1,2,3\nseeds = 0,1\n"),
+    ("sweep_partial_failure", "sweep", [],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\naxis = L\nvalues = 0,2\n"),
     ("sweep_alpha", "sweep", [],
      "data = synthetic\nd = 12\nn = 10\nkind = leaky_one_hidden\nk = 2\n"
      "m = 9\naxis = alpha\nvalues = 0,0.01,0.5\nseeds = 0,1\n"),
@@ -105,6 +107,12 @@ CLI_CASES = [
      "kernel = 9\nseeds = 0\n"),
     ("exit2_untrainable_kind", "train", [],
      SMALL + TRAIN + "kind = linear_bn_one_hidden\nk = 2\nm = 8\n"),
+    ("exit2_sweep_bn", "sweep", [],
+     SMALL + "kind = linear_bn_one_hidden\nk = 2\nm = 8\naxis = m\n"
+             "values = 4,8\n"),
+    ("exit2_sweep_aligned_unequal", "sweep", [],
+     SMALL.replace("d = 6", "d = 4") + "kind = residual\ndims = 4,6,8,2\n"
+     "init = aligned_svd\naxis = beta\nvalues = 0,0.5\n"),
     ("exit2_negative_seed_override", "analyze", ["--seed-override", "-1"],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
     ("exit3_cap", "analyze", [],
@@ -155,7 +163,7 @@ def run_case(src: Path, case, work: Path) -> tuple[int, str]:
     """Run one case with `src` on PYTHONPATH; its exit code and stderr."""
     name, command, extra, text = case
     work.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(src), GN_LENS_LOG="error")
+    env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     # Relative paths, so that messages naming them match between the trees.
