@@ -1,5 +1,7 @@
-"""Analytic upper bounds on the GN condition number, each returned as an
-auditable report carrying its internal per-layer terms.
+"""Analytic upper bounds on the GN condition number, each returned as a
+report of its value and kappa(Sigma) (NaN for the Leaky-ReLU bound); the
+depth bounds add their per-layer terms, `bound_one_hidden` its weight
+beta_w = s_min(W)^2 / (s_min(W)^2 + s_min(V)^2) in `extras`.
 """
 
 from __future__ import annotations
@@ -40,19 +42,11 @@ class BoundReport:
     value: float
     kappa_sigma: float
     terms: tuple[LayerTerm, ...] = ()
-    assumptions_met: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
 
 def _kappa_sigma(sigma) -> float:
     return pseudo_condition_number(sym_eigendecompose(as_matrix(sigma)))
-
-
-def _wide_flag(params: Params) -> bool:
-    d = params.layers[0].shape[1]
-    k = params.layers[-1].shape[0]
-    hidden = [w.shape[0] for w in params.layers[:-1]]
-    return all(h > max(d, k) for h in hidden)
 
 
 def bound_one_hidden(W, V, sigma) -> BoundReport:
@@ -68,18 +62,7 @@ def bound_one_hidden(W, V, sigma) -> BoundReport:
     beta_w = sw[-1] ** 2 / den
     ks = _kappa_sigma(sigma)
     value = ks * (sw[0] ** 2 + sv[0] ** 2) / den
-    m = w.shape[1]
-    d, k = v.shape[1], w.shape[0]
-    return BoundReport(
-        value=value,
-        kappa_sigma=ks,
-        assumptions_met={"wide_hidden": m > max(d, k)},
-        extras={
-            "beta_w": beta_w,
-            "kappa_w": sw[0] / sw[-1] if sw[-1] > 0 else math.inf,
-            "kappa_v": sv[0] / sv[-1] if sv[-1] > 0 else math.inf,
-        },
-    )
+    return BoundReport(value=value, kappa_sigma=ks, extras={"beta_w": beta_w})
 
 
 def _depth_terms(products) -> list[LayerTerm]:
@@ -128,39 +111,30 @@ def _depth_terms(products) -> list[LayerTerm]:
     return terms
 
 
-def depth_bounds(params: Params, sigma, products):
+def depth_bounds(sigma, products):
     """The (convex, max) depth bounds from `layer_products(params, beta)`."""
-    terms = _depth_terms(products)
+    terms = tuple(_depth_terms(products))
     ks = _kappa_sigma(sigma)
     convex = float(ks * sum(t.weighted for t in terms))
-    kappa2 = [t.kappa2_above * t.kappa2_below for t in terms]
-    argmax = int(np.argmax(kappa2)) + 1
-    maximum = float(ks * max(kappa2))
-    flags = {"wide_hidden": _wide_flag(params)}
-    convex_report = BoundReport(
-        value=convex, kappa_sigma=ks, terms=tuple(terms), assumptions_met=flags,
-    )
-    max_report = BoundReport(
-        value=maximum, kappa_sigma=ks, terms=tuple(terms), assumptions_met=flags,
-        extras={"argmax_ell": argmax},
-    )
-    return convex_report, max_report
+    maximum = float(ks * max(t.kappa2_above * t.kappa2_below for t in terms))
+    return (BoundReport(value=convex, kappa_sigma=ks, terms=terms),
+            BoundReport(value=maximum, kappa_sigma=ks, terms=terms))
 
 
 def bound_deep_convex(params: Params, sigma) -> BoundReport:
-    return depth_bounds(params, sigma, layer_products(params, 0.0))[0]
+    return depth_bounds(sigma, layer_products(params, 0.0))[0]
 
 
 def bound_deep_max(params: Params, sigma) -> BoundReport:
-    return depth_bounds(params, sigma, layer_products(params, 0.0))[1]
+    return depth_bounds(sigma, layer_products(params, 0.0))[1]
 
 
 def bound_residual_convex(params: Params, beta: float, sigma) -> BoundReport:
-    return depth_bounds(params, sigma, layer_products(params, beta))[0]
+    return depth_bounds(sigma, layer_products(params, beta))[0]
 
 
 def bound_residual_max(params: Params, beta: float, sigma) -> BoundReport:
-    return depth_bounds(params, sigma, layer_products(params, beta))[1]
+    return depth_bounds(sigma, layer_products(params, beta))[1]
 
 
 def residual_product_bound(singular_spectra, beta: float, ell: int) -> float:
@@ -198,18 +172,7 @@ def bound_leaky(W, V, X, alpha: float, gamma) -> BoundReport:
     den = alpha**2 * lam_min_xtx * lam_min_wwt + lam_min_g
     if den <= 0:
         raise DegenerateDataError("leaky bound denominator is zero")
-    return BoundReport(
-        value=num / den,
-        kappa_sigma=float("nan"),
-        extras={
-            "sig2max_x": sx[0] ** 2,
-            "sig2max_w": sw[0] ** 2,
-            "sig2min_x": lam_min_xtx,
-            "sig2min_w": lam_min_wwt,
-            "lam_max_gamma": lam_max_g,
-            "lam_min_gamma": lam_min_g,
-        },
-    )
+    return BoundReport(value=num / den, kappa_sigma=float("nan"))
 
 
 @dataclass(frozen=True)

@@ -36,15 +36,17 @@ from .errors import (
 from .linalg import RankPolicy, rank_sensitivity_sweep
 from .network import (
     INIT_SCHEMES,
-    LINEAR_BN_ONE_HIDDEN,
+    KINDS,
+    LEAKY_ONE_HIDDEN,
     LINEAR_CONV,
     LINEAR_DEEP,
+    RESIDUAL,
     NetworkSpec,
     Params,
     init,
-    lift_conv,
 )
 from .trainer import (
+    EVALUATED_KINDS,
     Metrics,
     TrainConfig,
     checkpoint_metrics,
@@ -350,14 +352,8 @@ def evaluate_instance(spec: NetworkSpec, params: Params, ds: Dataset,
                       policy: RankPolicy | None) -> Metrics:
     """kappa plus every applicable bound for one (spec, params, dataset).
 
-    A conv chain is evaluated as its Toeplitz-lifted deep linear network,
-    the `gn_conv` proxy, not as the shared-weight GN.
-    """
-    if spec.kind == LINEAR_CONV:
-        lifted = lift_conv(spec, params)
-        spec = NetworkSpec(kind=LINEAR_DEEP, dims=(
-            lifted[0].shape[1], *(t.shape[0] for t in lifted)))
-        params = Params(layers=tuple(lifted))
+    Kept as its own function: the benchmark (`bench/`) times each sweep cell
+    by this name."""
     return checkpoint_metrics(spec, params, ds, policy)
 
 
@@ -460,6 +456,14 @@ def cmd_analyze(cfg: dict, out_dir: str, args) -> int:
 
 _SWEEP_AXES = ("L", "m", "beta", "alpha", "kernel", "filters")
 
+# The axes each kind's network reads; explicit dims leave L and m unread.
+_AXES_READ = {
+    LINEAR_DEEP: ("L", "m"),
+    RESIDUAL: ("L", "m", "beta"),
+    LEAKY_ONE_HIDDEN: ("L", "m", "alpha"),
+    LINEAR_CONV: ("kernel", "filters"),
+}
+
 
 def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     axis = cfg.get("axis")
@@ -477,9 +481,9 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset(cfg)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     label = cfg.get("experiment", "sweep")
-    # A missing key, an unknown init, a kind with no GN builder, or an init
-    # that fails on explicit dims (which no axis changes) fails every cell
-    # alike: report it once.
+    # A missing key, an unknown init, a kind with no GN builder, an axis the
+    # network does not read, or an init that fails on explicit dims (which
+    # no axis changes) fails or mislabels every cell alike: report it once.
     _init_scheme(cfg)
     try:
         spec = build_spec(cfg, ds.d, overrides={axis: values[0]})
@@ -487,8 +491,15 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
         raise
     except GnLensError:
         spec = None  # a bad axis value fails only its own cells
-    if cfg.get("kind") == LINEAR_BN_ONE_HIDDEN:
-        raise SpecError(f"kind {LINEAR_BN_ONE_HIDDEN!r} has no analytic GN builder")
+    kind = cfg.get("kind", LINEAR_DEEP)
+    if kind not in KINDS:
+        raise SpecError(f"unknown network kind {kind!r}")
+    if kind not in EVALUATED_KINDS:
+        raise SpecError(f"kind {kind!r} has no analytic GN builder")
+    if axis not in _AXES_READ[kind]:
+        raise ConfigError(f"key 'axis': kind {kind!r} does not read {axis!r}")
+    if axis in ("L", "m") and "dims" in cfg:
+        raise ConfigError(f"key 'axis': explicit 'dims' leave {axis!r} unread")
     if spec is not None and "dims" in cfg:
         init_params(spec, cfg, seeds[0])
 

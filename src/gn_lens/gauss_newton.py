@@ -213,7 +213,7 @@ def _stacked_jacobian_fd(spec: NetworkSpec, params: Params,
 def _stacked_jacobian_linear(spec: NetworkSpec, params: Params,
                              X: np.ndarray) -> np.ndarray:
     """Exact stacked Jacobian for linear/residual products, (k*n) x p."""
-    beta = spec.beta if spec.kind == RESIDUAL else 0.0
+    beta = spec.skip
     L = len(params.layers)
     k = params.layers[-1].shape[0]
     n = X.shape[1]

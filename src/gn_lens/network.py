@@ -82,6 +82,11 @@ class NetworkSpec:
             raise SpecError("alpha must lie in [0, 1]")
 
     @property
+    def skip(self) -> float:
+        """The shift beta of each residual layer; 0 for every other kind."""
+        return self.beta if self.kind == RESIDUAL else 0.0
+
+    @property
     def depth(self) -> int:
         if self.kind == LINEAR_CONV:
             return len(self.conv_layers)
@@ -141,7 +146,7 @@ class TeacherSpec:
         object.__setattr__(self, "Z", as_matrix(self.Z, "Z"))
 
 
-def _layer_sigma(spec: NetworkSpec, idx: int, scheme, sigma) -> float:
+def _layer_sigma(spec: NetworkSpec, idx: int, scheme, sigma: float) -> float:
     shape = spec.layer_shapes()[idx]
     if spec.kind == LINEAR_CONV:
         fan_in = shape[1] * shape[2]
@@ -153,14 +158,12 @@ def _layer_sigma(spec: NetworkSpec, idx: int, scheme, sigma) -> float:
     if scheme == "xavier_normal":
         return (2.0 / (fan_in + fan_out)) ** 0.5
     if scheme == "gaussian":
-        if np.isscalar(sigma):
-            return float(sigma)
-        return float(sigma[idx])
+        return float(sigma)
     raise SpecError(f"unknown init scheme {scheme!r}")
 
 
 def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
-         sigma=1.0) -> Params:
+         sigma: float = 1.0) -> Params:
     """I.i.d. Gaussian init, or `init_aligned_svd` for scheme='aligned_svd'.
 
     sigma is only used for scheme='gaussian'.

@@ -27,6 +27,7 @@ from .linalg import (
 )
 from .network import (
     LEAKY_ONE_HIDDEN,
+    LINEAR_CONV,
     LINEAR_DEEP,
     RESIDUAL,
     NetworkSpec,
@@ -35,12 +36,15 @@ from .network import (
     init,
     layer_products,
     leaky_relu,
+    lift_conv,
     prune_by_magnitude,
 )
 
 DIVERGENCE_LOSS = 1e12
 
 TRAINABLE_KINDS = (LINEAR_DEEP, RESIDUAL, LEAKY_ONE_HIDDEN)
+# The kinds `checkpoint_metrics` evaluates.
+EVALUATED_KINDS = (*TRAINABLE_KINDS, LINEAR_CONV)
 
 
 @dataclass(frozen=True)
@@ -89,10 +93,9 @@ def mse_gradient(spec: NetworkSpec, params: Params, X, Y) -> list[np.ndarray]:
         raise DimensionError("batch must be nonempty")
     n = X.shape[1]
     if spec.kind in (LINEAR_DEEP, RESIDUAL):
-        beta = spec.beta if spec.kind == RESIDUAL else 0.0
         resid = forward(spec, params, X) - Y  # k x n
         grads = [(above.T @ resid @ (below @ X).T) / n
-                 for above, below in zip(*layer_products(params, beta))]
+                 for above, below in zip(*layer_products(params, spec.skip))]
     elif spec.kind == LEAKY_ONE_HIDDEN:
         v, w = params.layers
         z = v @ X
@@ -114,8 +117,8 @@ class Metrics:
     """kappa of one instance's GN and the bounds that apply to its kind.
 
     A bound that does not apply, or whose assumptions fail, is NaN:
-    the depth bounds (convex, max) cover linear and residual networks,
-    bound_other holds the Leaky-ReLU bound.
+    the depth bounds (convex, max) cover linear, residual and (lifted)
+    conv networks, bound_other holds the Leaky-ReLU bound.
     """
 
     kappa: float
@@ -129,7 +132,13 @@ class Metrics:
 
 def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
                        policy: RankPolicy | None = None) -> Metrics:
-    """kappa and every applicable bound via the analytic GN builders."""
+    """kappa and every applicable bound via the analytic GN builders.
+
+    A conv chain is evaluated as its Toeplitz-lifted deep linear network,
+    the `gn_conv` proxy, not as the shared-weight GN.
+    """
+    if spec.kind not in EVALUATED_KINDS:
+        raise SpecError(f"kind {spec.kind!r} has no analytic GN builder")
     sigma = empirical_covariance(ds)
     bounds = {}
     if spec.kind == LEAKY_ONE_HIDDEN:
@@ -143,26 +152,25 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
             pass
         spectrum = gn.spectrum()
         kappa = pseudo_condition_number(spectrum, policy)
-    elif spec.kind in (LINEAR_DEEP, RESIDUAL):
+    else:
+        if spec.kind == LINEAR_CONV:
+            params = Params(layers=tuple(lift_conv(spec, params)))
         # The partial products of every layer, built once and shared by the
         # GN and both depth bounds.
-        products = gn_layer_products(
-            params, 0.0 if spec.kind == LINEAR_DEEP else spec.beta)
+        products = gn_layer_products(params, spec.skip)
         spectrum = gn_from_products(params, sigma, products).spectrum()
         kappa = pseudo_condition_number(spectrum, policy)
         try:
             # Two evaluations, each with its own SVDs and kappa(Sigma);
             # merging them is still open (ROADMAP item 2).
-            convex = depth_bounds(params, sigma, products)[0]
-            maximum = depth_bounds(params, sigma, products)[1]
+            convex = depth_bounds(sigma, products)[0]
+            maximum = depth_bounds(sigma, products)[1]
             bounds = dict(kappa_sigma=convex.kappa_sigma, bound_convex=convex.value,
                           bound_max=maximum.value, terms=convex.terms)
         except AssumptionError:
             # A rank-deficient partial product leaves the depth bounds
             # undefined; kappa itself is still well defined.
             pass
-    else:
-        raise SpecError(f"kind {spec.kind!r} has no analytic GN builder")
     if "kappa_sigma" not in bounds:
         bounds["kappa_sigma"] = pseudo_condition_number(sym_eigendecompose(sigma))
     return Metrics(kappa=kappa, spectrum=spectrum, **bounds)

@@ -113,6 +113,11 @@ CLI_CASES = [
     ("exit2_sweep_aligned_unequal", "sweep", [],
      SMALL.replace("d = 6", "d = 4") + "kind = residual\ndims = 4,6,8,2\n"
      "init = aligned_svd\naxis = beta\nvalues = 0,0.5\n"),
+    ("exit2_sweep_unknown_kind", "sweep", [],
+     SMALL + "kind = abc\nk = 2\nm = 8\naxis = L\nvalues = 2,3\n"),
+    ("exit2_sweep_unread_axis", "sweep", [],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\naxis = beta\n"
+             "values = 0,0.5\n"),
     ("exit2_negative_seed_override", "analyze", ["--seed-override", "-1"],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
     ("exit3_cap", "analyze", [],
