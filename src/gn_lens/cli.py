@@ -76,8 +76,9 @@ ALLOWED_KEYS = {
 }
 
 
-class MissingKeyError(ConfigError):
-    """A required key is absent from the config."""
+class ConfigKeyError(ConfigError):
+    """A required key is absent, or the kind does not read a key that is set:
+    either fails every cell of a sweep alike."""
 
 
 def parse_config(path: str, command: str) -> dict:
@@ -110,7 +111,7 @@ def _read(cfg, key, default, parse, what):
     """`parse(cfg[key])`, or `default` (None: required) if the key is absent."""
     if key not in cfg:
         if default is None:
-            raise MissingKeyError(f"missing required key {key!r}")
+            raise ConfigKeyError(f"missing required key {key!r}")
         return default
     try:
         return parse(cfg[key])
@@ -224,12 +225,27 @@ def load_dataset(cfg: dict) -> Dataset:
     return ds
 
 
+_SWEEP_AXES = ("L", "m", "beta", "alpha", "kernel", "filters")
+
+# The axes each kind's network reads; explicit dims leave L and m unread.
+_AXES_READ = {
+    LINEAR_DEEP: ("L", "m"),
+    RESIDUAL: ("L", "m", "beta"),
+    LEAKY_ONE_HIDDEN: ("L", "m", "alpha"),
+    LINEAR_CONV: ("kernel", "filters"),
+}
+
+
 def build_spec(cfg: dict, data_d: int, overrides: dict | None = None) -> NetworkSpec:
     """Assemble a NetworkSpec from config keys (plus per-cell overrides)."""
     values = dict(cfg)
     for key, val in (overrides or {}).items():
         values[key] = str(val)
     kind = values.get("kind", LINEAR_DEEP)
+    # A kind the table does not list is left to NetworkSpec and the commands.
+    for key in ("beta", "alpha", "kernel", "filters"):
+        if key in values and key not in _AXES_READ.get(kind, _SWEEP_AXES):
+            raise ConfigKeyError(f"key {key!r}: kind {kind!r} does not read it")
     beta = _as_float(values, "beta", 0.0)
     alpha = _as_float(values, "alpha", 0.01)
     if kind == LINEAR_CONV:
@@ -454,17 +470,6 @@ def cmd_analyze(cfg: dict, out_dir: str, args) -> int:
     return 0
 
 
-_SWEEP_AXES = ("L", "m", "beta", "alpha", "kernel", "filters")
-
-# The axes each kind's network reads; explicit dims leave L and m unread.
-_AXES_READ = {
-    LINEAR_DEEP: ("L", "m"),
-    RESIDUAL: ("L", "m", "beta"),
-    LEAKY_ONE_HIDDEN: ("L", "m", "alpha"),
-    LINEAR_CONV: ("kernel", "filters"),
-}
-
-
 def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     axis = cfg.get("axis")
     if axis not in _SWEEP_AXES:
@@ -481,16 +486,11 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset(cfg)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     label = cfg.get("experiment", "sweep")
-    # A missing key, an unknown init, a kind with no GN builder, an axis the
-    # network does not read, or an init that fails on explicit dims (which
-    # no axis changes) fails or mislabels every cell alike: report it once.
+    # An unknown init, a kind with no GN builder, an axis or a key the
+    # network does not read, a missing key, or an init that fails on
+    # explicit dims (which no axis changes) fails or mislabels every cell
+    # alike: report it once.
     _init_scheme(cfg)
-    try:
-        spec = build_spec(cfg, ds.d, overrides={axis: values[0]})
-    except MissingKeyError:
-        raise
-    except GnLensError:
-        spec = None  # a bad axis value fails only its own cells
     kind = cfg.get("kind", LINEAR_DEEP)
     if kind not in KINDS:
         raise SpecError(f"unknown network kind {kind!r}")
@@ -500,6 +500,12 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
         raise ConfigError(f"key 'axis': kind {kind!r} does not read {axis!r}")
     if axis in ("L", "m") and "dims" in cfg:
         raise ConfigError(f"key 'axis': explicit 'dims' leave {axis!r} unread")
+    try:
+        spec = build_spec(cfg, ds.d, overrides={axis: values[0]})
+    except ConfigKeyError:
+        raise
+    except GnLensError:
+        spec = None  # a bad axis value fails only its own cells
     if spec is not None and "dims" in cfg:
         init_params(spec, cfg, seeds[0])
 
@@ -621,12 +627,13 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
 
 def cmd_whiten(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset({**cfg, "whiten": "false"})
-    white, report = whiten(ds, eigen_floor=_as_float(cfg, "eigen_floor", 1e-10))
+    eigen_floor = _as_float(cfg, "eigen_floor", 1e-10)
+    white, report = whiten(ds, eigen_floor=eigen_floor)
     write_csv(os.path.join(out_dir, "whitened.csv"), white)
     write_rows(
         os.path.join(out_dir, "whiten.csv"),
         ("kappa_before", "kappa_after", "eigen_floor"),
-        [(report.kappa_before, report.kappa_after, report.eigen_floor)],
+        [(report.kappa_before, report.kappa_after, eigen_floor)],
     )
     return 0
 

@@ -51,8 +51,6 @@ class Dataset:
 
 @dataclass(frozen=True)
 class WhitenReport:
-    transform: np.ndarray  # d x d
-    eigen_floor: float
     kappa_before: float
     kappa_after: float
 
@@ -79,20 +77,11 @@ def whiten(ds: Dataset, eigen_floor: float = 1e-10) -> tuple[Dataset, WhitenRepo
     keep = lam > eigen_floor * lam_max
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
     transform = (q * inv_sqrt) @ q.T
-    kappa_before = pseudo_condition_number(spec)
-    retained = int(keep.sum())
     white = Dataset(X=transform @ ds.X, Y=ds.Y)
-    wcov_spec = sym_eigendecompose(empirical_covariance(white))
-    kappa_after = float(
-        wcov_spec.values[0] / wcov_spec.values[retained - 1]
-    )
-    report = WhitenReport(
-        transform=transform,
-        eigen_floor=eigen_floor,
-        kappa_before=kappa_before,
-        kappa_after=kappa_after,
-    )
-    return white, report
+    after = sym_eigendecompose(empirical_covariance(white)).values
+    return white, WhitenReport(
+        kappa_before=pseudo_condition_number(spec),
+        kappa_after=float(after[0] / after[int(keep.sum()) - 1]))
 
 
 def _read_exact(fh, count: int) -> bytes:

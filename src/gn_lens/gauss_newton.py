@@ -67,7 +67,6 @@ class UnitActivationPattern:
     """Per-unit diagonal activation derivatives, entries in {1, alpha}."""
 
     diagonals: np.ndarray  # m x n
-    alpha: float
 
 
 def gn_linear(params: Params, sigma) -> GnMatrix:
@@ -138,7 +137,7 @@ def unit_patterns(V, X, alpha: float) -> UnitActivationPattern:
     x = as_matrix(X, "X")
     z = v @ x
     diags = np.where(z > 0, 1.0, alpha)
-    return UnitActivationPattern(diagonals=diags, alpha=alpha)
+    return UnitActivationPattern(diagonals=diags)
 
 
 def gn_leaky(W, V, X, alpha: float) -> tuple[GnMatrix, np.ndarray]:

@@ -83,32 +83,31 @@ class Spectrum:
 class RankPolicy:
     """Rule selecting the smallest retained eigenvalue for pseudo-kappa.
 
-    mode is one of 'analytic' (explicit rank), 'relative_threshold'
-    (cutoff = factor * largest value) or 'absolute_threshold'.
+    mode is one of 'analytic' (keep `value` eigenvalues, an int),
+    'relative' (cutoff = value * largest magnitude) or 'absolute'
+    (cutoff = value).
     """
 
     mode: str
-    rank: int = 0
-    factor: float = 0.0
-    cutoff: float = 0.0
+    value: float
 
     @classmethod
     def analytic(cls, rank: int) -> "RankPolicy":
         if rank < 1:
             raise ValidationError("analytic rank must be >= 1")
-        return cls(mode="analytic", rank=rank)
+        return cls(mode="analytic", value=rank)
 
     @classmethod
     def relative(cls, factor: float) -> "RankPolicy":
         if factor < 0:
             raise ValidationError("relative threshold factor must be >= 0")
-        return cls(mode="relative_threshold", factor=factor)
+        return cls(mode="relative", value=factor)
 
     @classmethod
     def absolute(cls, cutoff: float) -> "RankPolicy":
         if cutoff < 0:
             raise ValidationError("absolute threshold cutoff must be >= 0")
-        return cls(mode="absolute_threshold", cutoff=cutoff)
+        return cls(mode="absolute", value=cutoff)
 
     @classmethod
     def default_for(cls, rows: int, cols: int) -> "RankPolicy":
@@ -117,13 +116,12 @@ class RankPolicy:
 
     def select_rank(self, values: np.ndarray) -> int:
         if self.mode == "analytic":
-            if self.rank > values.size:
+            if self.value > values.size:
                 raise RankZeroError("analytic rank exceeds spectrum length")
-            return self.rank
-        if self.mode == "relative_threshold":
-            cut = self.factor * np.abs(values).max(initial=0.0)
-        else:
-            cut = self.cutoff
+            return self.value
+        cut = self.value
+        if self.mode == "relative":
+            cut *= np.abs(values).max(initial=0.0)
         r = int(np.sum(values > cut))
         if r == 0:
             raise RankZeroError("all spectrum values at or below the cutoff")
@@ -131,10 +129,8 @@ class RankPolicy:
 
     def describe(self) -> str:
         if self.mode == "analytic":
-            return f"analytic({self.rank})"
-        if self.mode == "relative_threshold":
-            return f"relative({self.factor:.3e})"
-        return f"absolute({self.cutoff:.3e})"
+            return f"analytic({self.value})"
+        return f"{self.mode}({self.value:.3e})"
 
 
 # Side of the square tiles walked by `symmetrize_in_place` and the symmetry

@@ -146,13 +146,10 @@ class TeacherSpec:
         object.__setattr__(self, "Z", as_matrix(self.Z, "Z"))
 
 
-def _layer_sigma(spec: NetworkSpec, idx: int, scheme, sigma: float) -> float:
-    shape = spec.layer_shapes()[idx]
-    if spec.kind == LINEAR_CONV:
-        fan_in = shape[1] * shape[2]
-        fan_out = shape[0] * shape[2]
-    else:
-        fan_out, fan_in = shape
+def _layer_sigma(shape: tuple[int, ...], scheme, sigma: float) -> float:
+    """The init std of a (rows, cols) layer or an (out, in, kernel) fibre."""
+    taps = shape[2] if len(shape) == 3 else 1
+    fan_out, fan_in = shape[0] * taps, shape[1] * taps
     if scheme == "kaiming_normal":
         return (1.0 / fan_in) ** 0.5
     if scheme == "xavier_normal":
@@ -171,11 +168,9 @@ def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
     if scheme == "aligned_svd":
         return init_aligned_svd(spec, seed=seed)
     rng = np.random.default_rng(seed)
-    layers = []
-    for idx, shape in enumerate(spec.layer_shapes()):
-        s = _layer_sigma(spec, idx, scheme, sigma)
-        layers.append(s * rng.standard_normal(shape))
-    return Params(layers=tuple(layers))
+    return Params(layers=tuple(_layer_sigma(shape, scheme, sigma)
+                               * rng.standard_normal(shape)
+                               for shape in spec.layer_shapes()))
 
 
 def init_aligned_svd(spec: NetworkSpec, singular_value_law="abs_gaussian",
@@ -283,23 +278,18 @@ def forward(spec: NetworkSpec, params: Params, X) -> np.ndarray:
         raise DimensionError(
             f"X must have {spec.dims[0]} rows, got {x.shape[0]}"
         )
-    if spec.kind == LINEAR_DEEP:
-        h = x
-        for w in params.layers:
-            h = w @ h
-        return h
-    if spec.kind == RESIDUAL:
-        h = x
-        for w in params.layers:
-            h = _shift(w, spec.beta) @ h
-        return h
     if spec.kind == LEAKY_ONE_HIDDEN:
         v, w = params.layers
         return w @ leaky_relu(v @ x, spec.alpha)
     if spec.kind == LINEAR_BN_ONE_HIDDEN:
         v, w = params.layers
         return w @ batch_norm(v @ x)
-    raise SpecError(f"forward not implemented for {spec.kind}")
+    # linear_deep or residual; a residual layer is shifted even at beta = 0.
+    residual = spec.kind == RESIDUAL
+    h = x
+    for w in params.layers:
+        h = (_shift(w, spec.beta) if residual else w) @ h
+    return h
 
 
 def partial_product(params: Params, hi: int, lo: int, beta: float = 0.0) -> np.ndarray:

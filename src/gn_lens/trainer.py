@@ -220,13 +220,13 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
                 idx = perm[s : s + cfg.batch_size]
                 batches.append((x_all[:, idx], y_all[:, idx]))
         for xb, yb in batches:
-            # A diverging step overflows; `Params` below reports it.
+            # A diverging step overflows; `Params` below reports it. A masked
+            # weight stays zero, as its gradient is masked: multiplying it by
+            # its mask again would not change even the sign of that zero.
             with np.errstate(over="ignore", invalid="ignore"):
                 grads = mse_gradient(spec, params, xb, yb)
                 layers = [w - cfg.learning_rate * g
                           for w, g in zip(params.layers, grads)]
-                if params.masks is not None:
-                    layers = [w * m for w, m in zip(layers, params.masks)]
             try:
                 params = Params(layers=tuple(layers), masks=params.masks)
             except ValidationError:

@@ -6,12 +6,13 @@
 Each case is one `gn_lens.cli` invocation, or one library script that saves
 GN matrices and spectra as raw float64 files, run once per tree in a fresh
 interpreter with that tree on PYTHONPATH and BLAS pinned to one thread. The
-cases cover every command and kind, exit codes 2 and 3, the benchmark's four
-workload configs (`bench/run.py`, seed 0) and the GN builders that the CLI
-does not reach (`gn_conv_shared`, `gn_from_jacobian`). For each case the
-report gives both exit codes, whether stderr matches, and per output file
-whether it is byte-identical; where a file differs it gives the largest
-relative deviation per numeric CSV column (or over a raw float64 file).
+cases cover every command and kind, every rank policy mode, exit codes 2 and
+3, the benchmark's four workload configs (`bench/run.py`, seed 0) and the GN
+builders that the CLI does not reach (`gn_conv_shared`, `gn_from_jacobian`).
+For each case the report gives both exit codes, whether stderr matches, and
+per output file whether it is byte-identical; where a file differs it gives
+the largest relative deviation per numeric CSV column (or over a raw float64
+file).
 Exit status 0 means every exit code, stderr and file is identical.
 Only the standard library is used.
 """
@@ -52,6 +53,11 @@ CLI_CASES = [
     ("analyze_aligned", "analyze", [],
      "data = synthetic\nd = 6\nn = 64\nkind = residual\nbeta = 0.5\n"
      "dims = 6,6,6,6\ninit = aligned_svd\nseeds = 0,1\n"),
+    ("analyze_rank_relative", "analyze", [],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
+             "rank_policy = relative:1e-12\n"),
+    ("analyze_rank_absolute", "analyze", [],
+     RESIDUAL + "k = 3\nm = 10\nL = 4\nrank_policy = absolute:1e-9\n"),
     ("analyze_gaussian", "analyze", [],
      SMALL + "kind = linear_deep\nk = 2\nm = 5\nL = 3\ninit = gaussian\n"
              "init_sigma = 0.3\n"),
@@ -90,6 +96,8 @@ CLI_CASES = [
     ("prune_deep", "prune", [],
      SMALL + TRAIN + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
                      "fractions = 0,0.3,0.6\n"),
+    ("prune_residual", "prune", [],
+     RESIDUAL + TRAIN + "k = 3\nm = 10\nL = 3\nfractions = 0,0.4,0.8\n"),
     ("whiten", "whiten", [],
      SMALL + "cov_spectrum = logspace:2,-2\nkind = linear_deep\nk = 2\n"
              "m = 8\nL = 3\n"),
@@ -118,6 +126,8 @@ CLI_CASES = [
     ("exit2_sweep_unread_axis", "sweep", [],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\naxis = beta\n"
              "values = 0,0.5\n"),
+    ("exit2_unread_network_key", "analyze", [],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\nbeta = 0.7\n"),
     ("exit2_negative_seed_override", "analyze", ["--seed-override", "-1"],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
     ("exit3_cap", "analyze", [],
