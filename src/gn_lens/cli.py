@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields, is_dataclass
 
@@ -41,6 +42,7 @@ from .network import (
     LINEAR_CONV,
     LINEAR_DEEP,
     RESIDUAL,
+    Draw,
     NetworkSpec,
     Params,
     init,
@@ -274,9 +276,11 @@ def _init_scheme(cfg: dict) -> str:
     return scheme
 
 
-def init_params(spec: NetworkSpec, cfg: dict, seed: int) -> Params:
+def init_params(spec: NetworkSpec, cfg: dict, seed: int,
+                draw: Draw | None = None) -> Params:
+    """`network.init` with the config's scheme and sigma."""
     return init(spec, scheme=_init_scheme(cfg), seed=seed,
-                sigma=_as_float(cfg, "init_sigma", 1.0))
+                sigma=_as_float(cfg, "init_sigma", 1.0), draw=draw)
 
 
 def _seeds(cfg: dict, args) -> list[int]:
@@ -509,12 +513,17 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     if spec is not None and "dims" in cfg:
         init_params(spec, cfg, seeds[0])
 
+    # Each worker keeps the last draw it made, and only that one.
+    workers = threading.local()
+
     def run_cell(cell):
         """The cell's row, or the error that failed it."""
         value, seed = cell
         try:
             spec = build_spec(cfg, ds.d, overrides={axis: value})
-            params = init_params(spec, cfg, seed)
+            if not hasattr(workers, "draw"):
+                workers.draw = Draw()
+            params = init_params(spec, cfg, seed, workers.draw)
             result = evaluate_instance(spec, params, ds, policy)
             return _row(f"{label}:{axis}={value}", seed, spec, ds, policy,
                         result, kappa_sigma=result.kappa_sigma)
@@ -522,8 +531,14 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
             return exc
 
     cells = [(value, seed) for value in values for seed in seeds]
+    # Cells run seed by seed (by position in `seeds`, values in the config's
+    # order), so that a cell reuses the layers its worker drew for the
+    # previous value; rows and errors stay in grid order.
+    order = sorted(range(len(cells)), key=lambda i: i % len(seeds))
+    results = [None] * len(cells)
     with ThreadPoolExecutor(max_workers=args.jobs or os.cpu_count() or 1) as pool:
-        results = list(pool.map(run_cell, cells))
+        for i, result in zip(order, pool.map(run_cell, [cells[i] for i in order])):
+            results[i] = result
     failures = [f"cell {i} ({axis}={value}, seed={seed}): {result}\n"
                 for i, ((value, seed), result) in enumerate(zip(cells, results))
                 if isinstance(result, GnLensError)]

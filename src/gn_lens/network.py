@@ -9,7 +9,7 @@ array (out_channels, in_channels, kernel) instead of a dense matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -159,18 +159,56 @@ def _layer_sigma(shape: tuple[int, ...], scheme, sigma: float) -> float:
     raise SpecError(f"unknown init scheme {scheme!r}")
 
 
+@dataclass
+class Draw:
+    """The i.i.d. Gaussian layers the last `init` given this record drew.
+
+    keys[i] is the (shape, scale) of layers[i], and states[i] the state of
+    the seed's bit generator after drawing it. Draw() holds no layers.
+    """
+
+    seed: int | None = None
+    layers: list[np.ndarray] = field(default_factory=list)
+    keys: list[tuple[tuple[int, ...], float]] = field(default_factory=list)
+    states: list[dict] = field(default_factory=list)
+
+
 def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
-         sigma: float = 1.0) -> Params:
+         sigma: float = 1.0, draw: Draw | None = None) -> Params:
     """I.i.d. Gaussian init, or `init_aligned_svd` for scheme='aligned_svd'.
 
-    sigma is only used for scheme='gaussian'.
+    sigma is only used for scheme='gaussian'. Given the `draw` record of an
+    earlier init of the same seed, reuses, as the same arrays, the longest
+    prefix of its layers whose (shape, scale) sequence matches this net's,
+    draws the layers after it from the generator state saved after that
+    prefix, and leaves this draw in the record; the record's other layers,
+    another seed's included, are dropped before drawing. Drawing a normals
+    and then b equals drawing a + b and splitting, so the layers are those
+    of a fresh init bit for bit. They are read-only, since later draws may
+    share them.
     """
     if scheme == "aligned_svd":
         return init_aligned_svd(spec, seed=seed)
+    draw = Draw() if draw is None else draw
+    keys = [(shape, _layer_sigma(shape, scheme, sigma))
+            for shape in spec.layer_shapes()]
+    kept = 0
+    if draw.seed == seed:
+        while (kept < min(len(keys), len(draw.keys))
+               and keys[kept] == draw.keys[kept]):
+            kept += 1
+    draw.seed = seed
+    del draw.layers[kept:], draw.keys[kept:], draw.states[kept:]
     rng = np.random.default_rng(seed)
-    return Params(layers=tuple(_layer_sigma(shape, scheme, sigma)
-                               * rng.standard_normal(shape)
-                               for shape in spec.layer_shapes()))
+    if kept:
+        rng.bit_generator.state = draw.states[-1]
+    for shape, scale in keys[kept:]:
+        layer = scale * rng.standard_normal(shape)
+        layer.flags.writeable = False
+        draw.layers.append(layer)
+        draw.keys.append((shape, scale))
+        draw.states.append(rng.bit_generator.state)
+    return Params(layers=tuple(draw.layers))
 
 
 def init_aligned_svd(spec: NetworkSpec, singular_value_law="abs_gaussian",

@@ -245,12 +245,21 @@ class PruneCell:
     seed: int
     at_init: Metrics  # the pruned network before training
     trace: TrainTrace
-    kappa_end: float
-    diverged: bool
 
     @property
     def kappa_init(self) -> float:
         return self.at_init.kappa
+
+    @property
+    def diverged(self) -> bool:
+        return self.trace.diverged
+
+    @property
+    def kappa_end(self) -> float:
+        """The last checkpoint's kappa; NaN if training diverged."""
+        if self.trace.diverged or not self.trace.checkpoints:
+            return math.nan
+        return self.trace.checkpoints[-1].kappa
 
 
 def pruning_experiment(spec: NetworkSpec, ds: Dataset, fractions, seeds,
@@ -271,11 +280,6 @@ def pruning_experiment(spec: NetworkSpec, ds: Dataset, fractions, seeds,
             pruned = prune_by_magnitude(base, fraction)
             at_init = checkpoint_metrics(spec, pruned, ds, policy)
             _, trace = train(spec, pruned, ds, replace(cfg, seed=seed), policy)
-            kappa_end = (math.nan if trace.diverged or not trace.checkpoints
-                         else trace.checkpoints[-1].kappa)
-            cells.append(
-                PruneCell(fraction=float(fraction), seed=int(seed),
-                          at_init=at_init, trace=trace, kappa_end=kappa_end,
-                          diverged=trace.diverged)
-            )
+            cells.append(PruneCell(fraction=float(fraction), seed=int(seed),
+                                   at_init=at_init, trace=trace))
     return cells

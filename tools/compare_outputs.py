@@ -81,6 +81,12 @@ CLI_CASES = [
     ("sweep_filters", "sweep", [],
      "data = synthetic\nd = 14\nn = 64\nkind = linear_conv\nkernel = 3\n"
      "axis = filters\nvalues = 1,2,3\nseeds = 0,1\n"),
+    ("sweep_xavier_seed_order_jobs2", "sweep", ["--jobs", "2"],
+     RESIDUAL.replace("seeds = 0", "seeds = 1,0,1")
+     + "k = 3\nm = 10\ninit = xavier_normal\naxis = L\nvalues = 5,3,2,6,1\n"),
+    ("sweep_gaussian_failing_cell", "sweep", ["--svg"],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\ninit = gaussian\n"
+             "init_sigma = 0.3\naxis = L\nvalues = 3,0,2,4\n"),
     ("sweep_partial_failure", "sweep", [],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\naxis = L\nvalues = 0,2\n"),
     ("sweep_alpha", "sweep", [],
