@@ -158,11 +158,16 @@ def _as_bool(cfg, key):
     raise ConfigError(f"key {key!r}: not a boolean: {cfg[key]!r}")
 
 
-def _at_least(key, value, low):
-    """`value`, read from config key `key`, if it is at least `low`."""
-    if not value >= low:
-        raise ConfigError(f"key {key!r}: must be >= {low}, got {value!r}")
+def _checked(key, value, ok, what):
+    """`value`, read from config key `key`, if `ok` (a comparison of it,
+    so False for NaN)."""
+    if not ok:
+        raise ConfigError(f"key {key!r}: must be {what}, got {value!r}")
     return value
+
+
+def _at_least(key, value, low):
+    return _checked(key, value, value >= low, f">= {low}")
 
 
 def parse_rank_policy(text: str) -> RankPolicy | None:
@@ -223,8 +228,13 @@ def load_dataset(cfg: dict) -> Dataset:
     else:
         raise ConfigError(f"unknown data source {cfg['data']!r}")
     if _as_bool(cfg, "whiten"):
-        ds, _ = whiten(ds, eigen_floor=_as_float(cfg, "eigen_floor", 1e-10))
+        ds, _ = whiten(ds, eigen_floor=_eigen_floor(cfg))
     return ds
+
+
+def _eigen_floor(cfg: dict) -> float:
+    floor = _as_float(cfg, "eigen_floor", 1e-10)
+    return _checked("eigen_floor", floor, 0 <= floor < 1, "in [0, 1)")
 
 
 _SWEEP_AXES = ("L", "m", "beta", "alpha", "kernel", "filters")
@@ -276,11 +286,17 @@ def _init_scheme(cfg: dict) -> str:
     return scheme
 
 
+def _init_sigma(cfg: dict) -> float:
+    sigma = _as_float(cfg, "init_sigma", 1.0)
+    return _checked("init_sigma", sigma, 0 <= sigma < math.inf,
+                    "finite and >= 0")
+
+
 def init_params(spec: NetworkSpec, cfg: dict, seed: int,
                 draw: Draw | None = None) -> Params:
     """`network.init` with the config's scheme and sigma."""
     return init(spec, scheme=_init_scheme(cfg), seed=seed,
-                sigma=_as_float(cfg, "init_sigma", 1.0), draw=draw)
+                sigma=_init_sigma(cfg), draw=draw)
 
 
 def _seeds(cfg: dict, args) -> list[int]:
@@ -490,11 +506,12 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset(cfg)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     label = cfg.get("experiment", "sweep")
-    # An unknown init, a kind with no GN builder, an axis or a key the
-    # network does not read, a missing key, or an init that fails on
-    # explicit dims (which no axis changes) fails or mislabels every cell
-    # alike: report it once.
-    _init_scheme(cfg)
+    # A bad init or init_sigma, a kind with no GN builder, an axis or a key
+    # the network does not read, a missing key, or an aligned init that
+    # fails on widths no axis but L and m changes, fails or mislabels every
+    # cell alike: report it once.
+    scheme = _init_scheme(cfg)
+    _init_sigma(cfg)
     kind = cfg.get("kind", LINEAR_DEEP)
     if kind not in KINDS:
         raise SpecError(f"unknown network kind {kind!r}")
@@ -510,7 +527,7 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
         raise
     except GnLensError:
         spec = None  # a bad axis value fails only its own cells
-    if spec is not None and "dims" in cfg:
+    if spec is not None and scheme == "aligned_svd" and axis not in ("L", "m"):
         init_params(spec, cfg, seeds[0])
 
     # Each worker keeps the last draw it made, and only that one.
@@ -620,13 +637,14 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
     spec = build_spec(cfg, ds.d)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     seeds = _seeds(cfg, args)
-    fractions = _as_float_list(cfg, "fractions", [0.0, 0.5, 0.9])
+    fractions = [_checked("fractions", f, 0 <= f <= 1, "in [0, 1]")
+                 for f in _as_float_list(cfg, "fractions", [0.0, 0.5, 0.9])]
     label = cfg.get("experiment", "prune")
     with_targets = _teacher_targets(cfg, spec, ds)
     cells = pruning_experiment(
         spec, with_targets, fractions, seeds, _train_config(cfg, 0),
         scheme=_init_scheme(cfg), policy=policy,
-        init_sigma=_as_float(cfg, "init_sigma", 1.0))
+        init_sigma=_init_sigma(cfg))
     rows = []
     for cell in cells:
         rows.append(_row(label, cell.seed, spec, ds, policy, cell.at_init,
@@ -642,7 +660,7 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
 
 def cmd_whiten(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset({**cfg, "whiten": "false"})
-    eigen_floor = _as_float(cfg, "eigen_floor", 1e-10)
+    eigen_floor = _eigen_floor(cfg)
     white, report = whiten(ds, eigen_floor=eigen_floor)
     write_csv(os.path.join(out_dir, "whitened.csv"), white)
     write_rows(

@@ -75,6 +75,10 @@ def whiten(ds: Dataset, eigen_floor: float = 1e-10) -> tuple[Dataset, WhitenRepo
     if lam_max <= 0:
         raise DegenerateDataError("covariance has rank zero; cannot whiten")
     keep = lam > eigen_floor * lam_max
+    if not keep.any():
+        raise DegenerateDataError(
+            "no covariance eigenvalue above eigen_floor * lambda_max; "
+            "cannot whiten")
     inv_sqrt = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
     transform = (q * inv_sqrt) @ q.T
     white = Dataset(X=transform @ ds.X, Y=ds.Y)

@@ -180,30 +180,23 @@ def _check_square_symmetric(m: np.ndarray) -> np.ndarray:
     return symmetrize_in_place(m.copy())
 
 
-def _eigh(m, want_vectors: bool):
-    """LAPACK's eigenvalues of a (near-)symmetric matrix, ascending, and with
-    want_vectors the matching eigenvectors as columns (else None)."""
-    a = _check_square_symmetric(as_matrix(m))
-    try:
-        if want_vectors:
-            return np.linalg.eigh(a)
-        return np.linalg.eigvalsh(a), None
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-
-
 def sym_eigendecompose(m, want_vectors: bool = False):
     """Eigendecompose a (near-)symmetric matrix.
 
     Returns a Spectrum with eigenvalues descending; with want_vectors, also
-    the matrix whose columns are the matching orthonormal eigenvectors.
+    the column-major matrix whose columns are the matching orthonormal
+    eigenvectors.
     """
-    w, q = _eigh(m, want_vectors)
-    order = np.argsort(w)[::-1]
-    spec = Spectrum.from_values(w[order])
-    if want_vectors:
-        return spec, q[:, order]
-    return spec
+    a = _check_square_symmetric(as_matrix(m))
+    try:
+        if not want_vectors:
+            return Spectrum.from_values(np.linalg.eigvalsh(a))
+        w, q = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+    # LAPACK's eigenvalues ascend, so reversing its columns pairs them.
+    # Column-major, because a product with q (whiten's) rounds by its layout.
+    return Spectrum.from_values(w), np.asfortranarray(q[:, ::-1])
 
 
 def svdvals(m: np.ndarray) -> np.ndarray:
@@ -243,9 +236,10 @@ def kron_extreme_eigs(spec_a: Spectrum, spec_b: Spectrum):
 
 def psd_sqrt(m) -> np.ndarray:
     """Unique PSD square root; eigenvalues mildly below 0 are clamped."""
-    # Kept in LAPACK's ascending order: reordering the eigenpairs changes how
-    # the product below rounds.
-    w, q = _eigh(m, True)
+    spec, q = sym_eigendecompose(m, want_vectors=True)
+    # Back in LAPACK's ascending order and C-contiguous layout: reordering the
+    # eigenpairs changes how the product below rounds.
+    w, q = spec.values[::-1], q[:, ::-1].copy()
     clamp = -_PSD_CLAMP * max(w.max(initial=0.0), 1.0)
     if w.min(initial=0.0) < clamp:
         raise PsdViolationError(

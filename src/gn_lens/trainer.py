@@ -156,15 +156,12 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
         if spec.kind == LINEAR_CONV:
             params = Params(layers=tuple(lift_conv(spec, params)))
         # The partial products of every layer, built once and shared by the
-        # GN and both depth bounds.
+        # GN and the depth bounds.
         products = gn_layer_products(params, spec.skip)
         spectrum = gn_from_products(params, sigma, products).spectrum()
         kappa = pseudo_condition_number(spectrum, policy)
         try:
-            # Two evaluations, each with its own SVDs and kappa(Sigma);
-            # merging them is still open (ROADMAP item 2).
-            convex = depth_bounds(sigma, products)[0]
-            maximum = depth_bounds(sigma, products)[1]
+            convex, maximum = depth_bounds(sigma, products)
             bounds = dict(kappa_sigma=convex.kappa_sigma, bound_convex=convex.value,
                           bound_max=maximum.value, terms=convex.terms)
         except AssumptionError:

@@ -89,6 +89,9 @@ CLI_CASES = [
              "init_sigma = 0.3\naxis = L\nvalues = 3,0,2,4\n"),
     ("sweep_partial_failure", "sweep", [],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\naxis = L\nvalues = 0,2\n"),
+    ("sweep_dims_beta", "sweep", [],
+     "data = synthetic\nd = 5\nn = 40\nkind = residual\ndims = 5,7,7,2\n"
+     "axis = beta\nvalues = 0,0.5\nseeds = 0\n"),
     ("sweep_alpha", "sweep", [],
      "data = synthetic\nd = 12\nn = 10\nkind = leaky_one_hidden\nk = 2\n"
      "m = 9\naxis = alpha\nvalues = 0,0.01,0.5\nseeds = 0,1\n"),
@@ -136,6 +139,18 @@ CLI_CASES = [
      SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\nbeta = 0.7\n"),
     ("exit2_negative_seed_override", "analyze", ["--seed-override", "-1"],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
+    ("exit2_init_sigma_nan", "analyze", [],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\ninit = gaussian\n"
+             "init_sigma = nan\n"),
+    ("exit2_prune_fraction_over_one", "prune", [],
+     SMALL + TRAIN + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
+                     "fractions = 0,1.5\n"),
+    ("exit2_whiten_eigen_floor_nan", "whiten", [],
+     SMALL + "cov_spectrum = logspace:2,-2\neigen_floor = nan\n"
+             "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
+    ("exit2_sweep_aligned_leaky_alpha", "sweep", [],
+     "data = synthetic\nd = 12\nn = 10\nkind = leaky_one_hidden\nk = 2\n"
+     "m = 9\ninit = aligned_svd\naxis = alpha\nvalues = 0,0.5\nseeds = 0\n"),
     ("exit3_cap", "analyze", [],
      "data = synthetic\nd = 2000\nn = 8\nkind = linear_deep\nk = 600\n"
      "m = 4\nL = 2\nseeds = 0\n"),
