@@ -69,11 +69,13 @@ from .network import (
 )
 from .trainer import (
     Checkpoint,
+    DataTerms,
     Metrics,
     PruneCell,
     TrainConfig,
     TrainTrace,
     checkpoint_metrics,
+    data_terms,
     mse_gradient,
     mse_loss,
     pruning_experiment,

@@ -111,10 +111,11 @@ def _depth_terms(products) -> list[LayerTerm]:
     return terms
 
 
-def depth_bounds(sigma, products):
-    """The (convex, max) depth bounds from `layer_products(params, beta)`."""
+def depth_bounds(sigma, products, kappa_sigma: float | None = None):
+    """The (convex, max) depth bounds from `layer_products(params, beta)`;
+    kappa(Sigma) is computed from sigma unless given."""
     terms = tuple(_depth_terms(products))
-    ks = _kappa_sigma(sigma)
+    ks = _kappa_sigma(sigma) if kappa_sigma is None else kappa_sigma
     convex = float(ks * sum(t.weighted for t in terms))
     maximum = float(ks * max(t.kappa2_above * t.kappa2_below for t in terms))
     return (BoundReport(value=convex, kappa_sigma=ks, terms=terms),
@@ -152,15 +153,16 @@ def residual_product_bound(singular_spectra, beta: float, ell: int) -> float:
     return value
 
 
-def bound_leaky(W, V, X, alpha: float, gamma) -> BoundReport:
+def bound_leaky(W, V, X, alpha: float, gamma, x_singular=None) -> BoundReport:
     """Leaky-ReLU one-hidden bound from the data Gram and the unit-weight
-    Gram matrix produced by gn_leaky."""
+    Gram matrix produced by gn_leaky; X's singular values (descending) are
+    computed unless given."""
     w = as_matrix(W, "W")
     x = as_matrix(X, "X")
     g = as_matrix(gamma, "gamma")
     n = x.shape[1]
     k = w.shape[0]
-    sx = svdvals(x)
+    sx = svdvals(x) if x_singular is None else x_singular
     sw = svdvals(w)
     # lambda_min of the n x n Gram X^T X (zero when n exceeds the rank of X).
     lam_min_xtx = sx[-1] ** 2 if sx.size >= n else 0.0

@@ -48,10 +48,12 @@ from .network import (
     init,
 )
 from .trainer import (
+    DataTerms,
     EVALUATED_KINDS,
     Metrics,
     TrainConfig,
     checkpoint_metrics,
+    data_terms,
     pruning_experiment,
     train,
 )
@@ -385,12 +387,27 @@ def _row(label: str, seed: int, spec: NetworkSpec, ds: Dataset,
 
 
 def evaluate_instance(spec: NetworkSpec, params: Params, ds: Dataset,
-                      policy: RankPolicy | None) -> Metrics:
+                      policy: RankPolicy | None,
+                      terms: DataTerms | None = None) -> Metrics:
     """kappa plus every applicable bound for one (spec, params, dataset).
 
     Kept as its own function: the benchmark (`bench/`) times each sweep cell
     by this name."""
-    return checkpoint_metrics(spec, params, ds, policy)
+    return checkpoint_metrics(spec, params, ds, policy, terms)
+
+
+def _cell_results(out_dir: str, command: str, axis: str, cells, results):
+    """The results of the (value, seed) `cells` that did not fail. Each
+    error goes to errors.log as one line, in grid order."""
+    failures = [f"cell {i} ({axis}={value}, seed={seed}): {result}\n"
+                for i, ((value, seed), result) in enumerate(zip(cells, results))
+                if isinstance(result, GnLensError)]
+    if failures:
+        _write_text(os.path.join(out_dir, "errors.log"), "".join(failures))
+    done = [r for r in results if not isinstance(r, GnLensError)]
+    if not done:
+        raise DegenerateDataError(f"every {command} cell failed")
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +492,8 @@ def cmd_analyze(cfg: dict, out_dir: str, args) -> int:
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     seed = _seeds(cfg, args)[0]
     params = init_params(spec, cfg, seed)
-    result = evaluate_instance(spec, params, ds, policy)
+    result = evaluate_instance(spec, params, ds, policy,
+                               data_terms(ds, spec.kind))
     row = _row(cfg.get("experiment", "analyze"), seed, spec, ds, policy,
                result, kappa_sigma=result.kappa_sigma)
     write_rows(os.path.join(out_dir, "analysis.csv"), RESULT_COLUMNS, [row])
@@ -529,6 +547,8 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
         spec = None  # a bad axis value fails only its own cells
     if spec is not None and scheme == "aligned_svd" and axis not in ("L", "m"):
         init_params(spec, cfg, seeds[0])
+    # What the cells read of the dataset, built once for all of them.
+    terms = data_terms(ds, kind)
 
     # Each worker keeps the last draw it made, and only that one.
     workers = threading.local()
@@ -541,7 +561,7 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
             if not hasattr(workers, "draw"):
                 workers.draw = Draw()
             params = init_params(spec, cfg, seed, workers.draw)
-            result = evaluate_instance(spec, params, ds, policy)
+            result = evaluate_instance(spec, params, ds, policy, terms)
             return _row(f"{label}:{axis}={value}", seed, spec, ds, policy,
                         result, kappa_sigma=result.kappa_sigma)
         except GnLensError as exc:
@@ -556,14 +576,7 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     with ThreadPoolExecutor(max_workers=args.jobs or os.cpu_count() or 1) as pool:
         for i, result in zip(order, pool.map(run_cell, [cells[i] for i in order])):
             results[i] = result
-    failures = [f"cell {i} ({axis}={value}, seed={seed}): {result}\n"
-                for i, ((value, seed), result) in enumerate(zip(cells, results))
-                if isinstance(result, GnLensError)]
-    if failures:
-        _write_text(os.path.join(out_dir, "errors.log"), "".join(failures))
-    rows = [row for row in results if isinstance(row, ResultRow)]
-    if not rows:
-        raise DegenerateDataError("every sweep cell failed")
+    rows = _cell_results(out_dir, "sweep", axis, cells, results)
     write_rows(os.path.join(out_dir, "sweep.csv"), RESULT_COLUMNS, rows)
     if args.svg:
         per_value = {}
@@ -607,12 +620,13 @@ def cmd_train(cfg: dict, out_dir: str, args) -> int:
     seeds = _seeds(cfg, args)
     label = cfg.get("experiment", "train")
     with_targets = _teacher_targets(cfg, spec, ds)
+    terms = data_terms(ds, spec.kind)
     rows = []
     traces = []
     for seed in seeds:
         params = init_params(spec, cfg, seed)
         _, trace = train(spec, params, with_targets, _train_config(cfg, seed),
-                         policy)
+                         policy, terms)
         traces.append((seed, trace))
         rows += [_row(label, seed, spec, ds, policy, cp, epoch=cp.epoch)
                  for cp in trace.checkpoints]
@@ -641,12 +655,13 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
                  for f in _as_float_list(cfg, "fractions", [0.0, 0.5, 0.9])]
     label = cfg.get("experiment", "prune")
     with_targets = _teacher_targets(cfg, spec, ds)
-    cells = pruning_experiment(
+    results = pruning_experiment(
         spec, with_targets, fractions, seeds, _train_config(cfg, 0),
         scheme=_init_scheme(cfg), policy=policy,
-        init_sigma=_init_sigma(cfg))
+        init_sigma=_init_sigma(cfg), terms=data_terms(ds, spec.kind))
+    cells = [(fraction, seed) for seed in seeds for fraction in fractions]
     rows = []
-    for cell in cells:
+    for cell in _cell_results(out_dir, "prune", "fraction", cells, results):
         rows.append(_row(label, cell.seed, spec, ds, policy, cell.at_init,
                          fraction=cell.fraction, epoch=0,
                          kappa_sigma=cell.at_init.kappa_sigma))
@@ -695,7 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--jobs", type=int, default=0,
-                       help="parallel workers (0 = all cores)")
+                       help="parallel workers for sweep cells (0 = all "
+                            "cores); the other commands run serially")
         p.add_argument("--svg", action="store_true",
                        help="also render SVG charts")
         p.add_argument("--spectrum", action="store_true",

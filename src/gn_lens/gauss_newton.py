@@ -91,15 +91,17 @@ def gn_layer_products(params: Params, beta: float):
         return layer_products(params, beta)
 
 
-def gn_from_products(params: Params, sigma, products) -> GnMatrix:
-    """The GN from `products = layer_products(params, beta)`.
+def gn_from_products(params: Params, sigma, products, s_half=None) -> GnMatrix:
+    """The GN from `products = layer_products(params, beta)`; sigma's PSD
+    square root is computed unless given as `s_half`.
 
     Weights too large for float64 overflow in the products or in their
     Gram factors; say so rather than assemble a non-finite GN.
     """
     k = params.layers[-1].shape[0]
     d = params.layers[0].shape[1]
-    s_half = psd_sqrt(as_matrix(sigma, "sigma"))
+    if s_half is None:
+        s_half = psd_sqrt(as_matrix(sigma, "sigma"))
     if s_half.shape[0] != d:
         raise DimensionError(
             f"sigma is {s_half.shape[0]}x{s_half.shape[0]} but input width is {d}"

@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     DimensionError,
     FormatError,
+    NumericError,
     SpecError,
     ValidationError,
 )
@@ -203,7 +204,11 @@ def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
     if kept:
         rng.bit_generator.state = draw.states[-1]
     for shape, scale in keys[kept:]:
-        layer = scale * rng.standard_normal(shape)
+        with np.errstate(over="ignore"):
+            layer = scale * rng.standard_normal(shape)
+        if not np.isfinite(layer).all():
+            raise NumericError(f"init_sigma {sigma!r} is too large: the drawn "
+                               "weights contain non-finite entries")
         layer.flags.writeable = False
         draw.layers.append(layer)
         draw.keys.append((shape, scale))

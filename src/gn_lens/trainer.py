@@ -15,6 +15,7 @@ from .errors import (
     AssumptionError,
     DegenerateDataError,
     DimensionError,
+    GnLensError,
     SpecError,
     ValidationError,
 )
@@ -22,7 +23,9 @@ from .gauss_newton import gn_from_products, gn_layer_products, gn_leaky
 from .linalg import (
     RankPolicy,
     Spectrum,
+    psd_sqrt,
     pseudo_condition_number,
+    svdvals,
     sym_eigendecompose,
 )
 from .network import (
@@ -130,22 +133,51 @@ class Metrics:
     terms: tuple[LayerTerm, ...] = ()  # per-layer terms of the convex bound
 
 
+@dataclass(frozen=True)
+class DataTerms:
+    """Sigma and kappa(Sigma), plus Sigma^(1/2) for the product-form kinds or
+    the singular values of X for `leaky_one_hidden`: what evaluations read of
+    the dataset, shared read-only by all of them."""
+
+    sigma: np.ndarray
+    kappa_sigma: float
+    sigma_half: np.ndarray | None = None
+    x_singular: np.ndarray | None = None
+
+
+def data_terms(ds: Dataset, kind: str) -> DataTerms:
+    """Bit for bit what one evaluation computes: Sigma^(1/2) from an `eigh`
+    and kappa(Sigma) from an `eigvalsh`, whose eigenvalues differ in the
+    last bits."""
+    sigma = empirical_covariance(ds)
+    extra = ({"x_singular": svdvals(ds.X)} if kind == LEAKY_ONE_HIDDEN
+             else {"sigma_half": psd_sqrt(sigma)})
+    for a in (sigma, *extra.values()):
+        a.flags.writeable = False
+    return DataTerms(sigma, pseudo_condition_number(sym_eigendecompose(sigma)),
+                     **extra)
+
+
 def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
-                       policy: RankPolicy | None = None) -> Metrics:
+                       policy: RankPolicy | None = None,
+                       terms: DataTerms | None = None) -> Metrics:
     """kappa and every applicable bound via the analytic GN builders.
 
+    `terms` are `data_terms(ds, spec.kind)`, built here if not given.
     A conv chain is evaluated as its Toeplitz-lifted deep linear network,
     the `gn_conv` proxy, not as the shared-weight GN.
     """
     if spec.kind not in EVALUATED_KINDS:
         raise SpecError(f"kind {spec.kind!r} has no analytic GN builder")
-    sigma = empirical_covariance(ds)
+    if terms is None:
+        terms = data_terms(ds, spec.kind)
     bounds = {}
     if spec.kind == LEAKY_ONE_HIDDEN:
         v, w = params.layers
         gn, gamma = gn_leaky(w, v, ds.X, spec.alpha)
         try:
-            bounds["bound_other"] = bound_leaky(w, v, ds.X, spec.alpha, gamma).value
+            bounds["bound_other"] = bound_leaky(w, v, ds.X, spec.alpha, gamma,
+                                                terms.x_singular).value
         except DegenerateDataError:
             # Valid only when the data Gram and unit-weight Gram are both
             # nondegenerate; kappa itself is still well defined.
@@ -158,28 +190,30 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
         # The partial products of every layer, built once and shared by the
         # GN and the depth bounds.
         products = gn_layer_products(params, spec.skip)
-        spectrum = gn_from_products(params, sigma, products).spectrum()
+        spectrum = gn_from_products(params, terms.sigma, products,
+                                    terms.sigma_half).spectrum()
         kappa = pseudo_condition_number(spectrum, policy)
         try:
-            convex, maximum = depth_bounds(sigma, products)
-            bounds = dict(kappa_sigma=convex.kappa_sigma, bound_convex=convex.value,
-                          bound_max=maximum.value, terms=convex.terms)
+            convex, maximum = depth_bounds(terms.sigma, products,
+                                           terms.kappa_sigma)
+            bounds = dict(bound_convex=convex.value, bound_max=maximum.value,
+                          terms=convex.terms)
         except AssumptionError:
             # A rank-deficient partial product leaves the depth bounds
             # undefined; kappa itself is still well defined.
             pass
-    if "kappa_sigma" not in bounds:
-        bounds["kappa_sigma"] = pseudo_condition_number(sym_eigendecompose(sigma))
-    return Metrics(kappa=kappa, spectrum=spectrum, **bounds)
+    return Metrics(kappa=kappa, spectrum=spectrum,
+                   kappa_sigma=terms.kappa_sigma, **bounds)
 
 
 def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
-          policy: RankPolicy | None = None) -> tuple[Params, TrainTrace]:
+          policy: RankPolicy | None = None,
+          terms: DataTerms | None = None) -> tuple[Params, TrainTrace]:
     """(S)GD under MSE with kappa-and-bound checkpoints.
 
     Deterministic given cfg.seed (one seeded permutation per epoch,
     drop-last partial batches). Divergence truncates the trace with a flag
-    instead of raising.
+    instead of raising. Every checkpoint reads `terms` (`checkpoint_metrics`).
     """
     if ds.Y is None:
         raise DimensionError("training requires targets Y")
@@ -196,7 +230,7 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
         if not np.isfinite(loss) or loss > DIVERGENCE_LOSS:
             trace.diverged = True
             return False
-        m = checkpoint_metrics(spec, params, ds, policy)
+        m = checkpoint_metrics(spec, params, ds, policy, terms)
         trace.checkpoints.append(
             Checkpoint(epoch=epoch, loss=loss, kappa=m.kappa,
                        bound_convex=m.bound_convex, bound_max=m.bound_max,
@@ -261,12 +295,15 @@ class PruneCell:
 
 def pruning_experiment(spec: NetworkSpec, ds: Dataset, fractions, seeds,
                        cfg: TrainConfig, scheme: str = "kaiming_normal",
-                       policy: RankPolicy | None = None,
-                       init_sigma=1.0) -> list[PruneCell]:
-    """Magnitude-pruning-at-init grid; per-cell divergence is recorded, not raised.
+                       policy: RankPolicy | None = None, init_sigma=1.0,
+                       terms: DataTerms | None = None,
+                       ) -> list[PruneCell | GnLensError]:
+    """Magnitude-pruning-at-init grid, seed-major; per-cell divergence is
+    recorded, and a cell whose evaluation fails (kappa is undefined at a
+    fraction of 1) is the error that failed it, not raised.
 
     Each cell trains with cfg under its own seed; init_sigma is the `sigma`
-    of `network.init`.
+    of `network.init`; `terms` as in `train`.
     """
     if spec.kind not in TRAINABLE_KINDS:
         raise SpecError(f"kind {spec.kind!r} is not trainable")
@@ -275,8 +312,13 @@ def pruning_experiment(spec: NetworkSpec, ds: Dataset, fractions, seeds,
         base = init(spec, scheme=scheme, seed=seed, sigma=init_sigma)
         for fraction in fractions:
             pruned = prune_by_magnitude(base, fraction)
-            at_init = checkpoint_metrics(spec, pruned, ds, policy)
-            _, trace = train(spec, pruned, ds, replace(cfg, seed=seed), policy)
-            cells.append(PruneCell(fraction=float(fraction), seed=int(seed),
-                                   at_init=at_init, trace=trace))
+            try:
+                at_init = checkpoint_metrics(spec, pruned, ds, policy, terms)
+                _, trace = train(spec, pruned, ds, replace(cfg, seed=seed),
+                                 policy, terms)
+                cells.append(PruneCell(fraction=float(fraction),
+                                       seed=int(seed), at_init=at_init,
+                                       trace=trace))
+            except GnLensError as exc:
+                cells.append(exc)
     return cells

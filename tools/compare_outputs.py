@@ -95,6 +95,9 @@ CLI_CASES = [
     ("sweep_alpha", "sweep", [],
      "data = synthetic\nd = 12\nn = 10\nkind = leaky_one_hidden\nk = 2\n"
      "m = 9\naxis = alpha\nvalues = 0,0.01,0.5\nseeds = 0,1\n"),
+    ("sweep_alpha_jobs2", "sweep", ["--jobs", "2"],
+     "data = synthetic\nd = 12\nn = 10\nkind = leaky_one_hidden\nk = 2\n"
+     "m = 9\naxis = alpha\nvalues = 0,0.01,0.1,0.5\nseeds = 0,1,2\n"),
     ("train_deep", "train", ["--svg"],
      SMALL + TRAIN + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
     ("train_residual", "train", [],
@@ -107,6 +110,9 @@ CLI_CASES = [
                      "fractions = 0,0.3,0.6\n"),
     ("prune_residual", "prune", [],
      RESIDUAL + TRAIN + "k = 3\nm = 10\nL = 3\nfractions = 0,0.4,0.8\n"),
+    ("prune_fraction_one", "prune", [],
+     SMALL + TRAIN + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
+                     "fractions = 0,1\n"),
     ("whiten", "whiten", [],
      SMALL + "cov_spectrum = logspace:2,-2\nkind = linear_deep\nk = 2\n"
              "m = 8\nL = 3\n"),
@@ -157,6 +163,9 @@ CLI_CASES = [
     ("exit3_overflow", "analyze", [],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\ninit = gaussian\n"
              "init_sigma = 1e200\n"),
+    ("exit3_init_sigma_overflow", "analyze", [],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\ninit = gaussian\n"
+             "init_sigma = 1e308\n"),
 ] + [(f"bench_{w.name}", w.command, ["--jobs", str(w.jobs)], w.config_text(0))
      for w in WORKLOADS.values()]
 
