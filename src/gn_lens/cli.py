@@ -36,12 +36,13 @@ from .errors import (
 )
 from .linalg import RankPolicy, rank_sensitivity_sweep
 from .network import (
+    ALIGNED_KINDS,
+    EVALUATED_KINDS,
     INIT_SCHEMES,
     KINDS,
-    LEAKY_ONE_HIDDEN,
     LINEAR_CONV,
     LINEAR_DEEP,
-    RESIDUAL,
+    TRAINABLE_KINDS,
     Draw,
     NetworkSpec,
     Params,
@@ -49,7 +50,6 @@ from .network import (
 )
 from .trainer import (
     DataTerms,
-    EVALUATED_KINDS,
     Metrics,
     TrainConfig,
     checkpoint_metrics,
@@ -81,8 +81,7 @@ ALLOWED_KEYS = {
 
 
 class ConfigKeyError(ConfigError):
-    """A required key is absent, or the kind does not read a key that is set:
-    either fails every cell of a sweep alike."""
+    """A required key is absent: that fails every cell of a sweep alike."""
 
 
 def parse_config(path: str, command: str) -> dict:
@@ -240,14 +239,28 @@ def _eigen_floor(cfg: dict) -> float:
 
 
 _SWEEP_AXES = ("L", "m", "beta", "alpha", "kernel", "filters")
+_NETWORK_KEYS = {key for keys in KINDS.values() for key in keys}
 
-# The axes each kind's network reads; explicit dims leave L and m unread.
-_AXES_READ = {
-    LINEAR_DEEP: ("L", "m"),
-    RESIDUAL: ("L", "m", "beta"),
-    LEAKY_ONE_HIDDEN: ("L", "m", "alpha"),
-    LINEAR_CONV: ("kernel", "filters"),
-}
+
+def check_kind(cfg: dict, trains: bool = False, axis: str | None = None) -> str:
+    """The config's kind, if the command can run it and it reads every key."""
+    kind = cfg.get("kind", LINEAR_DEEP)
+    if kind not in KINDS:
+        raise SpecError(f"unknown network kind {kind!r}")
+    if trains and kind not in TRAINABLE_KINDS:
+        raise SpecError(f"kind {kind!r} is not trainable")
+    if kind not in EVALUATED_KINDS:
+        raise SpecError(f"kind {kind!r} has no analytic GN builder")
+    if axis is not None and axis not in KINDS[kind]:
+        raise ConfigError(f"key 'axis': kind {kind!r} does not read {axis!r}")
+    if axis in ("L", "m") and "dims" in cfg:
+        raise ConfigError(f"key 'axis': explicit 'dims' leave {axis!r} unread")
+    for key in cfg:
+        if key in _NETWORK_KEYS and key not in KINDS[kind]:
+            raise ConfigError(f"key {key!r}: kind {kind!r} does not read it")
+    if cfg.get("init") == "aligned_svd" and kind not in ALIGNED_KINDS:
+        raise SpecError("aligned init is defined for linear/residual kinds")
+    return kind
 
 
 def build_spec(cfg: dict, data_d: int, overrides: dict | None = None) -> NetworkSpec:
@@ -256,10 +269,6 @@ def build_spec(cfg: dict, data_d: int, overrides: dict | None = None) -> Network
     for key, val in (overrides or {}).items():
         values[key] = str(val)
     kind = values.get("kind", LINEAR_DEEP)
-    # A kind the table does not list is left to NetworkSpec and the commands.
-    for key in ("beta", "alpha", "kernel", "filters"):
-        if key in values and key not in _AXES_READ.get(kind, _SWEEP_AXES):
-            raise ConfigKeyError(f"key {key!r}: kind {kind!r} does not read it")
     beta = _as_float(values, "beta", 0.0)
     alpha = _as_float(values, "alpha", 0.01)
     if kind == LINEAR_CONV:
@@ -488,12 +497,12 @@ def render_svg(series, title: str, x_label: str, y_label: str) -> str:
 
 def cmd_analyze(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset(cfg)
+    check_kind(cfg)
     spec = build_spec(cfg, ds.d)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     seed = _seeds(cfg, args)[0]
     params = init_params(spec, cfg, seed)
-    result = evaluate_instance(spec, params, ds, policy,
-                               data_terms(ds, spec.kind))
+    result = evaluate_instance(spec, params, ds, policy)
     row = _row(cfg.get("experiment", "analyze"), seed, spec, ds, policy,
                result, kappa_sigma=result.kappa_sigma)
     write_rows(os.path.join(out_dir, "analysis.csv"), RESULT_COLUMNS, [row])
@@ -524,21 +533,12 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset(cfg)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     label = cfg.get("experiment", "sweep")
-    # A bad init or init_sigma, a kind with no GN builder, an axis or a key
-    # the network does not read, a missing key, or an aligned init that
-    # fails on widths no axis but L and m changes, fails or mislabels every
-    # cell alike: report it once.
+    # A bad init or init_sigma, a kind `check_kind` refuses, a missing key, or
+    # an aligned init failing on widths no axis but L and m changes fails or
+    # mislabels every cell alike: report it once.
     scheme = _init_scheme(cfg)
     _init_sigma(cfg)
-    kind = cfg.get("kind", LINEAR_DEEP)
-    if kind not in KINDS:
-        raise SpecError(f"unknown network kind {kind!r}")
-    if kind not in EVALUATED_KINDS:
-        raise SpecError(f"kind {kind!r} has no analytic GN builder")
-    if axis not in _AXES_READ[kind]:
-        raise ConfigError(f"key 'axis': kind {kind!r} does not read {axis!r}")
-    if axis in ("L", "m") and "dims" in cfg:
-        raise ConfigError(f"key 'axis': explicit 'dims' leave {axis!r} unread")
+    kind = check_kind(cfg, axis=axis)
     try:
         spec = build_spec(cfg, ds.d, overrides={axis: values[0]})
     except ConfigKeyError:
@@ -615,6 +615,7 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
 
 def cmd_train(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset(cfg)
+    check_kind(cfg, trains=True)
     spec = build_spec(cfg, ds.d)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     seeds = _seeds(cfg, args)
@@ -648,6 +649,7 @@ def cmd_train(cfg: dict, out_dir: str, args) -> int:
 
 def cmd_prune(cfg: dict, out_dir: str, args) -> int:
     ds = load_dataset(cfg)
+    check_kind(cfg, trains=True)
     spec = build_spec(cfg, ds.d)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     seeds = _seeds(cfg, args)

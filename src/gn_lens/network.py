@@ -29,7 +29,19 @@ LEAKY_ONE_HIDDEN = "leaky_one_hidden"
 LINEAR_CONV = "linear_conv"
 LINEAR_BN_ONE_HIDDEN = "linear_bn_one_hidden"
 
-KINDS = (LINEAR_DEEP, RESIDUAL, LEAKY_ONE_HIDDEN, LINEAR_CONV, LINEAR_BN_ONE_HIDDEN)
+# Each kind -> the network keys its config may set (explicit dims leave L and
+# m unread); the kinds `trainer` trains and evaluates, and aligned init draws.
+_DENSE = ("k", "m", "L", "dims")
+KINDS = {
+    LINEAR_DEEP: _DENSE,
+    RESIDUAL: (*_DENSE, "beta"),
+    LEAKY_ONE_HIDDEN: (*_DENSE, "alpha"),
+    LINEAR_CONV: ("kernel", "filters"),
+    LINEAR_BN_ONE_HIDDEN: _DENSE,
+}
+TRAINABLE_KINDS = (LINEAR_DEEP, RESIDUAL, LEAKY_ONE_HIDDEN)
+EVALUATED_KINDS = (*TRAINABLE_KINDS, LINEAR_CONV)
+ALIGNED_KINDS = (LINEAR_DEEP, RESIDUAL)
 
 BN_EPS = 1e-5
 
@@ -225,7 +237,7 @@ def init_aligned_svd(spec: NetworkSpec, singular_value_law="abs_gaussian",
     by exactly beta and consecutive layers' singular bases align. Rectangular
     end layers use truncated columns of Q.
     """
-    if spec.kind not in (LINEAR_DEEP, RESIDUAL):
+    if spec.kind not in ALIGNED_KINDS:
         raise SpecError("aligned init is defined for linear/residual kinds")
     dims = spec.dims
     hidden = dims[1:-1]

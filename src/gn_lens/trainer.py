@@ -29,10 +29,12 @@ from .linalg import (
     sym_eigendecompose,
 )
 from .network import (
+    EVALUATED_KINDS,
     LEAKY_ONE_HIDDEN,
     LINEAR_CONV,
     LINEAR_DEEP,
     RESIDUAL,
+    TRAINABLE_KINDS,
     NetworkSpec,
     Params,
     forward,
@@ -44,10 +46,6 @@ from .network import (
 )
 
 DIVERGENCE_LOSS = 1e12
-
-TRAINABLE_KINDS = (LINEAR_DEEP, RESIDUAL, LEAKY_ONE_HIDDEN)
-# The kinds `checkpoint_metrics` evaluates.
-EVALUATED_KINDS = (*TRAINABLE_KINDS, LINEAR_CONV)
 
 
 @dataclass(frozen=True)
@@ -163,18 +161,17 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
                        terms: DataTerms | None = None) -> Metrics:
     """kappa and every applicable bound via the analytic GN builders.
 
-    `terms` are `data_terms(ds, spec.kind)`, built here if not given.
+    `terms`: `data_terms(ds, spec.kind)`, built after the size check if absent.
     A conv chain is evaluated as its Toeplitz-lifted deep linear network,
     the `gn_conv` proxy, not as the shared-weight GN.
     """
     if spec.kind not in EVALUATED_KINDS:
         raise SpecError(f"kind {spec.kind!r} has no analytic GN builder")
-    if terms is None:
-        terms = data_terms(ds, spec.kind)
     bounds = {}
     if spec.kind == LEAKY_ONE_HIDDEN:
         v, w = params.layers
         gn, gamma = gn_leaky(w, v, ds.X, spec.alpha)
+        terms = terms or data_terms(ds, spec.kind)
         try:
             bounds["bound_other"] = bound_leaky(w, v, ds.X, spec.alpha, gamma,
                                                 terms.x_singular).value
@@ -190,6 +187,7 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
         # The partial products of every layer, built once and shared by the
         # GN and the depth bounds.
         products = gn_layer_products(params, spec.skip)
+        terms = terms or data_terms(ds, spec.kind)
         spectrum = gn_from_products(params, terms.sigma, products,
                                     terms.sigma_half).spectrum()
         kappa = pseudo_condition_number(spectrum, policy)

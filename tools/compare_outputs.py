@@ -157,6 +157,12 @@ CLI_CASES = [
     ("exit2_sweep_aligned_leaky_alpha", "sweep", [],
      "data = synthetic\nd = 12\nn = 10\nkind = leaky_one_hidden\nk = 2\n"
      "m = 9\ninit = aligned_svd\naxis = alpha\nvalues = 0,0.5\nseeds = 0\n"),
+    ("exit2_sweep_aligned_leaky_m", "sweep", [],
+     "data = synthetic\nd = 12\nn = 10\nkind = leaky_one_hidden\nk = 2\n"
+     "m = 9\ninit = aligned_svd\naxis = m\nvalues = 4,9\nseeds = 0\n"),
+    ("exit2_conv_unread_widths", "analyze", [],
+     "data = synthetic\nd = 12\nn = 64\nkind = linear_conv\nfilters = 2\n"
+     "kernel = 3\nL = 7\nk = 5\nseeds = 0\n"),
     ("exit3_cap", "analyze", [],
      "data = synthetic\nd = 2000\nn = 8\nkind = linear_deep\nk = 600\n"
      "m = 4\nL = 2\nseeds = 0\n"),
