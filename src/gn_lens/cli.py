@@ -607,7 +607,7 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
     return TrainConfig(
         learning_rate=_at_least("lr", _as_float(cfg, "lr"), 0),
         epochs=_at_least("epochs", _as_int(cfg, "epochs"), 0),
-        batch_size=_as_int(cfg, "batch_size", 0),
+        batch_size=_at_least("batch_size", _as_int(cfg, "batch_size", 0), 0),
         seed=seed,
         trace_every=_at_least("trace_every", _as_int(cfg, "trace_every", 1), 1),
     )

@@ -282,7 +282,7 @@ def rect_identity(rows: int, cols: int) -> np.ndarray:
     return np.eye(rows, cols)
 
 
-def _shift(w: np.ndarray, beta: float) -> np.ndarray:
+def shift_layer(w: np.ndarray, beta: float) -> np.ndarray:
     """w + beta * rect_identity(*w.shape), without building the identity.
 
     Adding 0.0 turns -0.0 into +0.0 as the identity's zeros do, and the
@@ -321,18 +321,21 @@ def conv_forward(spec: NetworkSpec, params: Params, X: np.ndarray) -> np.ndarray
     return h.reshape(n, -1).T
 
 
+def check_batch(spec: NetworkSpec, X) -> np.ndarray:
+    """X as a finite float64 matrix with the rows the network reads."""
+    x = as_matrix(X, "X")
+    expected = (spec.conv_layers[0][1] * spec.dims[0]
+                if spec.kind == LINEAR_CONV else spec.dims[0])
+    if x.shape[0] != expected:
+        raise DimensionError(f"X must have {expected} rows, got {x.shape[0]}")
+    return x
+
+
 def forward(spec: NetworkSpec, params: Params, X) -> np.ndarray:
     """Network outputs, k x n (conv: (m_L * d_L) x n)."""
-    x = as_matrix(X, "X")
+    x = check_batch(spec, X)
     if spec.kind == LINEAR_CONV:
-        expected = spec.conv_layers[0][1] * spec.dims[0]
-        if x.shape[0] != expected:
-            raise DimensionError(f"X must have {expected} rows, got {x.shape[0]}")
         return conv_forward(spec, params, x)
-    if x.shape[0] != spec.dims[0]:
-        raise DimensionError(
-            f"X must have {spec.dims[0]} rows, got {x.shape[0]}"
-        )
     if spec.kind == LEAKY_ONE_HIDDEN:
         v, w = params.layers
         return w @ leaky_relu(v @ x, spec.alpha)
@@ -343,7 +346,7 @@ def forward(spec: NetworkSpec, params: Params, X) -> np.ndarray:
     residual = spec.kind == RESIDUAL
     h = x
     for w in params.layers:
-        h = (_shift(w, spec.beta) if residual else w) @ h
+        h = (shift_layer(w, spec.beta) if residual else w) @ h
     return h
 
 
@@ -362,7 +365,7 @@ def partial_product(params: Params, hi: int, lo: int, beta: float = 0.0) -> np.n
     out = None
     for i in range(hi, lo - 1, -1):
         w = layers[i - 1]
-        wb = _shift(w, beta) if beta != 0.0 else w
+        wb = shift_layer(w, beta) if beta != 0.0 else w
         out = wb if out is None else out @ wb
     return out
 
@@ -377,18 +380,30 @@ def layer_products(params: Params, beta: float = 0.0):
     agree with it bit for bit. Each below product multiplies one shifted
     layer into the last one (a_{ell-1} x a_{ell-2} by a_{ell-2} x d), which
     reassociates partial_product's chain. Layers are shifted one at a time,
-    so only the thin products are kept.
+    by one `partial_product(params, ell, ell, beta)` call each per pass.
     """
     layers = params.layers
     L = len(layers)
-    above = [np.eye(layers[-1].shape[0])]
-    for ell in range(L - 1, 0, -1):
-        shifted = partial_product(params, ell + 1, ell + 1, beta)
-        above.append(shifted if ell == L - 1 else above[-1] @ shifted)
-    below = [np.eye(layers[0].shape[1])]
-    for ell in range(2, L + 1):
-        shifted = partial_product(params, ell - 1, ell - 1, beta)
-        below.append(shifted if ell == 2 else shifted @ below[-1])
+    return chain_products(
+        (partial_product(params, ell, ell, beta) for ell in range(L, 1, -1)),
+        (partial_product(params, ell, ell, beta) for ell in range(1, L)),
+        np.eye(layers[-1].shape[0]), np.eye(layers[0].shape[1]))
+
+
+def chain_products(upper, lower, eye_out: np.ndarray, eye_in: np.ndarray):
+    """`layer_products` from the layers each pass multiplies, in the order
+    it takes them: upper yields layers L down to 2 and lower layers 1 up to
+    L - 1, each shifted for a residual net at beta != 0. eye_out and eye_in
+    are the identities of widths k and d: the products above layer L and
+    below layer 1. Only the thin products are kept, so layers yielded one
+    at a time are freed one at a time.
+    """
+    above = [eye_out]
+    for w in upper:
+        above.append(above[-1] @ w if len(above) > 1 else w)
+    below = [eye_in]
+    for w in lower:
+        below.append(w @ below[-1] if len(below) > 1 else w)
     return above[::-1], below
 
 

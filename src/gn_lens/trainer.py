@@ -32,17 +32,19 @@ from .network import (
     EVALUATED_KINDS,
     LEAKY_ONE_HIDDEN,
     LINEAR_CONV,
-    LINEAR_DEEP,
     RESIDUAL,
     TRAINABLE_KINDS,
     NetworkSpec,
     Params,
+    chain_products,
+    check_batch,
     forward,
     init,
-    layer_products,
+    layer_products,  # noqa: F401  (not called here; importable as before)
     leaky_relu,
     lift_conv,
     prune_by_magnitude,
+    shift_layer,
 )
 
 DIVERGENCE_LOSS = 1e12
@@ -59,6 +61,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValidationError("learning_rate must be >= 0")
+        if self.batch_size < 0:
+            raise ValidationError("batch_size must be >= 0")
         if self.trace_every < 1:
             raise ValidationError("trace_every must be >= 1")
 
@@ -92,24 +96,51 @@ def mse_gradient(spec: NetworkSpec, params: Params, X, Y) -> list[np.ndarray]:
     """
     if X.shape[1] == 0:
         raise DimensionError("batch must be nonempty")
+    if spec.kind not in TRAINABLE_KINDS:
+        raise SpecError(f"no analytic gradient for kind {spec.kind!r}")
+    return _gradient(spec, params.layers, params.masks, check_batch(spec, X),
+                     Y, _identities(params.layers))
+
+
+def _identities(layers) -> tuple[np.ndarray, np.ndarray]:
+    """The identities of the output and input widths (`chain_products`)."""
+    return np.eye(layers[-1].shape[0]), np.eye(layers[0].shape[1])
+
+
+def _gradient(spec: NetworkSpec, layers, masks, X, Y, eyes) -> list[np.ndarray]:
+    """`mse_gradient` of a checked batch, for `layers` and `masks` as a
+    `Params` holds them. Each gradient is a new array, scaled in place.
+
+    A residual layer is shifted once: the forward pass multiplies the
+    shifted layers even at beta = 0, which turns -0.0 into +0.0, and the
+    partial products multiply them only at beta != 0, as `forward` and
+    `layer_products` do.
+    """
     n = X.shape[1]
-    if spec.kind in (LINEAR_DEEP, RESIDUAL):
-        resid = forward(spec, params, X) - Y  # k x n
-        grads = [(above.T @ resid @ (below @ X).T) / n
-                 for above, below in zip(*layer_products(params, spec.skip))]
-    elif spec.kind == LEAKY_ONE_HIDDEN:
-        v, w = params.layers
+    if spec.kind == LEAKY_ONE_HIDDEN:
+        v, w = layers
         z = v @ X
         h = leaky_relu(z, spec.alpha)
         resid = w @ h - Y
-        grad_w = (resid @ h.T) / n
+        grad_w = resid @ h.T
         slope = np.where(z > 0, 1.0, spec.alpha)
-        grad_v = (((w.T @ resid) * slope) @ X.T) / n
-        grads = [grad_v, grad_w]
+        grads = [((w.T @ resid) * slope) @ X.T, grad_w]
     else:
-        raise SpecError(f"no analytic gradient for kind {spec.kind!r}")
-    if params.masks is not None:
-        grads = [g * m for g, m in zip(grads, params.masks)]
+        shifted = ([shift_layer(w, spec.beta) for w in layers]
+                   if spec.kind == RESIDUAL else layers)
+        h = X
+        for w in shifted:
+            h = w @ h
+        resid = h - Y  # k x n
+        chain = shifted if spec.skip != 0.0 else layers
+        above, below = chain_products(reversed(chain[1:]), chain[:-1], *eyes)
+        grads = [above.T @ resid @ (below @ X).T
+                 for above, below in zip(above, below)]
+    for g in grads:
+        g /= n
+    if masks is not None:
+        for g, m in zip(grads, masks):
+            g *= m
     return grads
 
 
@@ -239,8 +270,12 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
 
     if not record(0):
         return params, trace
+    # Between checkpoints the weights are a plain list, checked once per
+    # step for divergence; masks are checked only where a `Params` is built.
+    layers, masks = list(params.layers), params.masks
+    eyes = _identities(layers)
     for epoch in range(1, cfg.epochs + 1):
-        if cfg.batch_size <= 0 or cfg.batch_size >= n:
+        if cfg.batch_size == 0 or cfg.batch_size >= n:
             batches = [(x_all, y_all)]
         else:
             perm = rng.permutation(n)
@@ -248,21 +283,22 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
             for s in range(0, n - cfg.batch_size + 1, cfg.batch_size):
                 idx = perm[s : s + cfg.batch_size]
                 batches.append((x_all[:, idx], y_all[:, idx]))
-        for xb, yb in batches:
-            # A diverging step overflows; `Params` below reports it. A masked
-            # weight stays zero, as its gradient is masked: multiplying it by
-            # its mask again would not change even the sign of that zero.
-            with np.errstate(over="ignore", invalid="ignore"):
-                grads = mse_gradient(spec, params, xb, yb)
-                layers = [w - cfg.learning_rate * g
-                          for w, g in zip(params.layers, grads)]
-            try:
-                params = Params(layers=tuple(layers), masks=params.masks)
-            except ValidationError:
-                # A non-finite step (inf * 0 is NaN under a mask too).
-                trace.diverged = True
-                return params, trace
+        # A diverging step overflows; its non-finite layer ends the run. A
+        # masked weight stays zero, as its gradient is masked: multiplying
+        # it by its mask again would not change even the sign of that zero.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for xb, yb in batches:
+                steps = _gradient(spec, layers, masks, xb, yb, eyes)
+                for w, step in zip(layers, steps):
+                    step *= cfg.learning_rate
+                    np.subtract(w, step, out=step)  # the new layer
+                    if not np.isfinite(step).all():
+                        # inf * 0 is NaN under a mask too.
+                        trace.diverged = True
+                        return Params(layers=tuple(layers), masks=masks), trace
+                layers = steps
         if epoch % cfg.trace_every == 0 or epoch == cfg.epochs:
+            params = Params(layers=tuple(layers), masks=masks)
             if not record(epoch):
                 return params, trace
     return params, trace

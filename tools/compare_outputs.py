@@ -105,11 +105,25 @@ CLI_CASES = [
     ("train_leaky", "train", [],
      "data = synthetic\nd = 12\nn = 10\nkind = leaky_one_hidden\nk = 2\n"
      "m = 9\nseeds = 0\n" + TRAIN),
+    ("train_full_batch", "train", [],
+     SMALL + TRAIN.replace("batch_size = 16", "batch_size = 0")
+     + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
+    ("train_diverging", "train", [],
+     "data = synthetic\nd = 4\nn = 16\nseeds = 0\nkind = linear_deep\n"
+     "k = 2\nm = 8\nL = 3\nlr = 5\nepochs = 300\nbatch_size = 8\n"
+     "trace_every = 100\n"),
     ("prune_deep", "prune", [],
      SMALL + TRAIN + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
                      "fractions = 0,0.3,0.6\n"),
     ("prune_residual", "prune", [],
      RESIDUAL + TRAIN + "k = 3\nm = 10\nL = 3\nfractions = 0,0.4,0.8\n"),
+    ("prune_residual_beta0", "prune", [],
+     RESIDUAL.replace("beta = 0.5", "beta = 0") + TRAIN
+     + "k = 3\nm = 10\nL = 3\nfractions = 0,0.4,0.8\n"),
+    ("prune_leaky", "prune", [],
+     "data = synthetic\nd = 12\nn = 24\nkind = leaky_one_hidden\nk = 2\n"
+     "m = 9\nalpha = 0.1\nseeds = 0,1\n" + TRAIN
+     + "fractions = 0,0.3,0.6\n"),
     ("prune_fraction_one", "prune", [],
      SMALL + TRAIN + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
                      "fractions = 0,1\n"),
@@ -128,6 +142,9 @@ CLI_CASES = [
     ("exit2_conv_kernel_over_signal", "analyze", [],
      "data = synthetic\nd = 8\nn = 64\nkind = linear_conv\nfilters = 2\n"
      "kernel = 9\nseeds = 0\n"),
+    ("exit2_negative_batch_size", "train", [],
+     SMALL + TRAIN.replace("batch_size = 16", "batch_size = -5")
+     + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
     ("exit2_untrainable_kind", "train", [],
      SMALL + TRAIN + "kind = linear_bn_one_hidden\nk = 2\nm = 8\n"),
     ("exit2_sweep_bn", "sweep", [],
