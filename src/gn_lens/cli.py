@@ -594,11 +594,15 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
 
 
 def _teacher_targets(cfg: dict, spec: NetworkSpec, ds: Dataset) -> Dataset:
+    k = spec.dims[-1]
     if ds.Y is not None:
+        if ds.Y.shape[0] != k:
+            raise ConfigError(f"key 'label_column': the labels are "
+                              f"{ds.Y.shape[0]} target row(s), but the "
+                              f"network has k = {k} outputs")
         return ds
     rng = np.random.default_rng(
         _at_least("teacher_seed", _as_int(cfg, "teacher_seed", 10_000), 0))
-    k = spec.dims[-1]
     z = rng.standard_normal((k, ds.d)) / np.sqrt(ds.d)
     return Dataset(X=ds.X, Y=z @ ds.X)
 

@@ -40,7 +40,6 @@ from .network import (
     check_batch,
     forward,
     init,
-    layer_products,  # noqa: F401  (not called here; importable as before)
     leaky_relu,
     lift_conv,
     prune_by_magnitude,
@@ -61,6 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValidationError("learning_rate must be >= 0")
+        if self.epochs < 0:
+            raise ValidationError("epochs must be >= 0")
         if self.batch_size < 0:
             raise ValidationError("batch_size must be >= 0")
         if self.trace_every < 1:
@@ -92,14 +93,38 @@ def mse_loss(spec: NetworkSpec, params: Params, X, Y) -> float:
 def mse_gradient(spec: NetworkSpec, params: Params, X, Y) -> list[np.ndarray]:
     """Per-layer gradients of (1/n) sum_i 0.5 ||F(x_i) - y_i||^2.
 
-    Masked coordinates (pruned weights) get exactly zero gradient.
+    Masked coordinates (pruned weights) get exactly zero gradient. The
+    gradients are C-ordered views of one flat buffer.
     """
     if X.shape[1] == 0:
         raise DimensionError("batch must be nonempty")
     if spec.kind not in TRAINABLE_KINDS:
         raise SpecError(f"no analytic gradient for kind {spec.kind!r}")
-    return _gradient(spec, params.layers, params.masks, check_batch(spec, X),
-                     Y, _identities(params.layers))
+    x = check_batch(spec, X)
+    _check_targets(spec, Y, x.shape[1])
+    layers = params.layers
+    grad = np.empty(sum(w.size for w in layers))
+    grads = _layer_views(grad, layers)
+    _gradient(spec, layers, _flat(params.masks), x, Y, _identities(layers),
+              grad, grads)
+    return grads
+
+
+def _check_targets(spec: NetworkSpec, Y, n: int) -> None:
+    """Y must hold one row per network output and one column per sample."""
+    expected = (spec.dims[-1], n)
+    if np.shape(Y) != expected:
+        raise DimensionError(f"Y must be {expected[0]} x {expected[1]} "
+                             f"(outputs x samples), got shape {np.shape(Y)}")
+
+
+def _check_training(spec: NetworkSpec, ds: Dataset) -> None:
+    """A trainable kind and targets with one row per network output."""
+    if spec.kind not in TRAINABLE_KINDS:
+        raise SpecError(f"kind {spec.kind!r} is not trainable")
+    if ds.Y is None:
+        raise DimensionError("training requires targets Y")
+    _check_targets(spec, ds.Y, ds.n)
 
 
 def _identities(layers) -> tuple[np.ndarray, np.ndarray]:
@@ -107,41 +132,56 @@ def _identities(layers) -> tuple[np.ndarray, np.ndarray]:
     return np.eye(layers[-1].shape[0]), np.eye(layers[0].shape[1])
 
 
-def _gradient(spec: NetworkSpec, layers, masks, X, Y, eyes) -> list[np.ndarray]:
-    """`mse_gradient` of a checked batch, for `layers` and `masks` as a
-    `Params` holds them. Each gradient is a new array, scaled in place.
+def _flat(arrays) -> np.ndarray | None:
+    """The arrays' entries in C order, one after another; None for None."""
+    if arrays is None:
+        return None
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def _layer_views(buf: np.ndarray, layers) -> list[np.ndarray]:
+    """C-ordered views of the flat `buf`, one shaped like each layer."""
+    ends = np.cumsum([w.size for w in layers])
+    return [part.reshape(w.shape)
+            for part, w in zip(np.split(buf, ends[:-1]), layers)]
+
+
+def _gradient(spec: NetworkSpec, layers, mask, X, Y, eyes, grad,
+              grads) -> None:
+    """`mse_gradient` of a checked batch into the flat buffer `grad`, whose
+    per-layer views are `grads`; `mask` is the masks as one flat array.
 
     A residual layer is shifted once: the forward pass multiplies the
     shifted layers even at beta = 0, which turns -0.0 into +0.0, and the
     partial products multiply them only at beta != 0, as `forward` and
     `layer_products` do.
     """
-    n = X.shape[1]
     if spec.kind == LEAKY_ONE_HIDDEN:
         v, w = layers
         z = v @ X
         h = leaky_relu(z, spec.alpha)
         resid = w @ h - Y
-        grad_w = resid @ h.T
+        np.matmul(resid, h.T, out=grads[1])
         slope = np.where(z > 0, 1.0, spec.alpha)
-        grads = [((w.T @ resid) * slope) @ X.T, grad_w]
+        np.matmul((w.T @ resid) * slope, X.T, out=grads[0])
     else:
         shifted = ([shift_layer(w, spec.beta) for w in layers]
                    if spec.kind == RESIDUAL else layers)
         h = X
         for w in shifted:
             h = w @ h
-        resid = h - Y  # k x n
+        resid = h - Y  # k x n, C-ordered
         chain = shifted if spec.skip != 0.0 else layers
         above, below = chain_products(reversed(chain[1:]), chain[:-1], *eyes)
-        grads = [above.T @ resid @ (below @ X).T
-                 for above, below in zip(above, below)]
-    for g in grads:
-        g /= n
-    if masks is not None:
-        for g, m in zip(grads, masks):
-            g *= m
-    return grads
+        # Above the top layer is I_k, and I_k.T @ resid is resid exactly.
+        # The I_d @ X below the bottom layer stays: for a Fortran-ordered
+        # batch, X.T and (I_d @ X).T take different GEMM paths.
+        lefts = [a.T @ resid for a in above[:-1]] + [resid]
+        for g, left, b in zip(grads, lefts, below):
+            np.matmul(left, (b @ X).T, out=g)
+    grad /= X.shape[1]
+    if mask is not None:
+        grad *= mask
 
 
 @dataclass(frozen=True)
@@ -244,10 +284,7 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
     drop-last partial batches). Divergence truncates the trace with a flag
     instead of raising. Every checkpoint reads `terms` (`checkpoint_metrics`).
     """
-    if ds.Y is None:
-        raise DimensionError("training requires targets Y")
-    if spec.kind not in TRAINABLE_KINDS:
-        raise SpecError(f"kind {spec.kind!r} is not trainable")
+    _check_training(spec, ds)
     rng = np.random.default_rng(cfg.seed)
     x_all, y_all = ds.X, ds.Y
     n = ds.n
@@ -270,35 +307,49 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
 
     if not record(0):
         return params, trace
-    # Between checkpoints the weights are a plain list, checked once per
-    # step for divergence; masks are checked only where a `Params` is built.
-    layers, masks = list(params.layers), params.masks
-    eyes = _identities(layers)
+    # Between checkpoints the weights are one flat buffer, `theta`. Each step
+    # writes its gradient into the spare buffer and turns it into the new
+    # weights there; then the two swap. The first step reads the caller's
+    # layers in their own memory order, which GEMM rounds by.
+    layers, masks = params.layers, params.masks
+    theta = _flat(layers)
+    grad = np.empty_like(theta)
+    theta_layers, grads = _layer_views(theta, layers), _layer_views(grad, layers)
+    mask, eyes = _flat(masks), _identities(layers)
+
+    def snapshot() -> Params:
+        # A copy: the buffers are written again by later steps.
+        return Params(layers=tuple(w.copy() for w in theta_layers), masks=masks)
+
     for epoch in range(1, cfg.epochs + 1):
         if cfg.batch_size == 0 or cfg.batch_size >= n:
             batches = [(x_all, y_all)]
         else:
+            # One gather per epoch; each batch is a column slice of it, laid
+            # out as x_all[:, idx] would be.
             perm = rng.permutation(n)
-            batches = []
-            for s in range(0, n - cfg.batch_size + 1, cfg.batch_size):
-                idx = perm[s : s + cfg.batch_size]
-                batches.append((x_all[:, idx], y_all[:, idx]))
-        # A diverging step overflows; its non-finite layer ends the run. A
+            xp, yp = x_all[:, perm], y_all[:, perm]
+            batches = [(xp[:, s : s + cfg.batch_size],
+                        yp[:, s : s + cfg.batch_size])
+                       for s in range(0, n - cfg.batch_size + 1,
+                                      cfg.batch_size)]
+        # A diverging step overflows; its non-finite weights end the run. A
         # masked weight stays zero, as its gradient is masked: multiplying
         # it by its mask again would not change even the sign of that zero.
         with np.errstate(over="ignore", invalid="ignore"):
             for xb, yb in batches:
-                steps = _gradient(spec, layers, masks, xb, yb, eyes)
-                for w, step in zip(layers, steps):
-                    step *= cfg.learning_rate
-                    np.subtract(w, step, out=step)  # the new layer
-                    if not np.isfinite(step).all():
-                        # inf * 0 is NaN under a mask too.
-                        trace.diverged = True
-                        return Params(layers=tuple(layers), masks=masks), trace
-                layers = steps
+                _gradient(spec, layers, mask, xb, yb, eyes, grad, grads)
+                grad *= cfg.learning_rate
+                np.subtract(theta, grad, out=grad)  # the new weights
+                if not np.isfinite(grad).all():
+                    # inf * 0 is NaN under a mask too.
+                    trace.diverged = True
+                    return snapshot(), trace
+                theta, grad = grad, theta
+                theta_layers, grads = grads, theta_layers
+                layers = theta_layers
         if epoch % cfg.trace_every == 0 or epoch == cfg.epochs:
-            params = Params(layers=tuple(layers), masks=masks)
+            params = snapshot()
             if not record(epoch):
                 return params, trace
     return params, trace
@@ -339,8 +390,7 @@ def pruning_experiment(spec: NetworkSpec, ds: Dataset, fractions, seeds,
     Each cell trains with cfg under its own seed; init_sigma is the `sigma`
     of `network.init`; `terms` as in `train`.
     """
-    if spec.kind not in TRAINABLE_KINDS:
-        raise SpecError(f"kind {spec.kind!r} is not trainable")
+    _check_training(spec, ds)
     cells = []
     for seed in seeds:
         base = init(spec, scheme=scheme, seed=seed, sigma=init_sigma)

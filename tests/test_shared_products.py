@@ -28,7 +28,7 @@ from gn_lens import (
     sym_eigendecompose,
     synthesize_gaussian,
 )
-from gn_lens import bounds, gauss_newton, network, trainer
+from gn_lens import bounds, gauss_newton, network
 from gn_lens.errors import AssumptionError
 from gn_lens.network import LINEAR_DEEP, RESIDUAL, rect_identity
 
@@ -103,7 +103,7 @@ def test_products_are_built_once_per_call(monkeypatch, kind):
         return original(params, beta)
 
     # Every module that imports layer_products, so that no call escapes.
-    for module in (network, gauss_newton, bounds, trainer):
+    for module in (network, gauss_newton, bounds):
         monkeypatch.setattr(module, "layer_products", spy)
     dims = (5, 7, 7, 7, 3)
     spec = NetworkSpec(kind=kind, dims=dims, beta=0.5)

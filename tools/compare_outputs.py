@@ -6,9 +6,10 @@
 Each case is one `gn_lens.cli` invocation, or one library script that saves
 GN matrices and spectra as raw float64 files, run once per tree in a fresh
 interpreter with that tree on PYTHONPATH and BLAS pinned to one thread. The
-cases cover every command and kind, every rank policy mode, exit codes 2 and
-3, the benchmark's four workload configs (`bench/run.py`, seed 0) and the GN
-builders that the CLI does not reach (`gn_conv_shared`, `gn_from_jacobian`).
+cases cover every command and kind, every rank policy mode, CSV data with a
+label column, exit codes 2 and 3, the benchmark's four workload configs
+(`bench/run.py`, seed 0) and the GN builders that the CLI does not reach
+(`gn_conv_shared`, `gn_from_jacobian`).
 For each case the report gives both exit codes, whether stderr matches, and
 per output file whether it is byte-identical; where a file differs it gives
 the largest relative deviation per numeric CSV column (or over a raw float64
@@ -38,6 +39,14 @@ SMALL = "data = synthetic\nd = 6\nn = 64\nseeds = 0,1\n"
 RESIDUAL = ("data = synthetic\nd = 10\nn = 80\ncov_spectrum = logspace:1,-1\n"
             "kind = residual\nbeta = 0.5\nseeds = 0\n")
 TRAIN = "lr = 0.01\nepochs = 6\nbatch_size = 16\ntrace_every = 2\n"
+# Four features and a label per row, written beside the configs as
+# labels.csv; `load_csv` reads it as a strided view of a Fortran-ordered X.
+LABELS_CSV = "".join(
+    ",".join(repr(round(math.sin(1.7 * i + 0.9 * j) + 0.1 * j, 6))
+             for j in range(5)) + "\n"
+    for i in range(48))
+CSV_LABEL = ("data = csv\ndata_path = ../labels.csv\nlabel_column = true\n"
+             "seeds = 0,1\n")
 
 # (name, command, extra CLI arguments, config text)
 CLI_CASES = [
@@ -112,6 +121,8 @@ CLI_CASES = [
      "data = synthetic\nd = 4\nn = 16\nseeds = 0\nkind = linear_deep\n"
      "k = 2\nm = 8\nL = 3\nlr = 5\nepochs = 300\nbatch_size = 8\n"
      "trace_every = 100\n"),
+    ("train_csv_label", "train", [],
+     CSV_LABEL + TRAIN + "kind = linear_deep\nk = 1\nm = 6\nL = 3\n"),
     ("prune_deep", "prune", [],
      SMALL + TRAIN + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
                      "fractions = 0,0.3,0.6\n"),
@@ -145,6 +156,8 @@ CLI_CASES = [
     ("exit2_negative_batch_size", "train", [],
      SMALL + TRAIN.replace("batch_size = 16", "batch_size = -5")
      + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
+    ("exit2_label_rows_vs_k", "train", [],
+     CSV_LABEL + TRAIN + "kind = linear_deep\nk = 3\nm = 6\nL = 3\n"),
     ("exit2_untrainable_kind", "train", [],
      SMALL + TRAIN + "kind = linear_bn_one_hidden\nk = 2\nm = 8\n"),
     ("exit2_sweep_bn", "sweep", [],
@@ -239,6 +252,7 @@ def run_case(src: Path, case, work: Path) -> tuple[int, str]:
         cmd = [sys.executable, "-c", text, "."]
     else:
         (work.parent / f"{name}.cfg").write_text(text)
+        (work.parent / "labels.csv").write_text(LABELS_CSV)
         cmd = [sys.executable, "-m", "gn_lens.cli", command, "--config",
                f"../{name}.cfg", "--out", ".", *extra]
     proc = subprocess.run(cmd, env=env, cwd=work, capture_output=True,
