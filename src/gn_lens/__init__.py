@@ -15,12 +15,10 @@ from .bounds import (
     bound_residual_convex,
     bound_residual_max,
     residual_product_bound,
-    self_balancing_report,
 )
 from .data import (
     Dataset,
     WhitenReport,
-    avg_pool_downsample,
     empirical_covariance,
     load_csv,
     load_idx,
@@ -44,13 +42,11 @@ from .linalg import (
     RankPolicy,
     Spectrum,
     kron,
-    kron_extreme_eigs,
     pseudo_condition_number,
     psd_sqrt,
     rank_sensitivity_sweep,
     singular_values,
     sym_eigendecompose,
-    weyl_sum_bounds,
 )
 from .network import (
     NetworkSpec,
@@ -60,10 +56,8 @@ from .network import (
     init,
     init_aligned_svd,
     lift_conv,
-    load_params,
     partial_product,
     prune_by_magnitude,
-    save_params,
     toeplitz_from_filter,
     toeplitz_layer,
 )

@@ -228,12 +228,3 @@ def bound_functional_hessian(W, V, teacher: TeacherSpec, sigma) -> float:
     if s[-1] <= 0:
         raise DegenerateDataError("rank-deficient residual matrix")
     return float(s[0] / s[-1]) * _kappa_sigma(sigma)
-
-
-def self_balancing_report(params: Params, sigma):
-    """Per-ell table exposing the self-balancing of the convex bound's terms.
-
-    The weighted terms times kappa(Sigma) sum to the convex bound's value.
-    """
-    report = bound_deep_convex(params, sigma)
-    return report.terms, report.kappa_sigma

@@ -530,6 +530,7 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
                               f"got {cfg['values']!r}")
         values = [int(v) for v in values]
     seeds = _seeds(cfg, args)
+    jobs = _at_least("--jobs", args.jobs, 0)
     ds = load_dataset(cfg)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     label = cfg.get("experiment", "sweep")
@@ -573,7 +574,7 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     # previous value; rows and errors stay in grid order.
     order = sorted(range(len(cells)), key=lambda i: i % len(seeds))
     results = [None] * len(cells)
-    with ThreadPoolExecutor(max_workers=args.jobs or os.cpu_count() or 1) as pool:
+    with ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1) as pool:
         for i, result in zip(order, pool.map(run_cell, [cells[i] for i in order])):
             results[i] = result
     rows = _cell_results(out_dir, "sweep", axis, cells, results)
@@ -659,6 +660,9 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
     seeds = _seeds(cfg, args)
     fractions = [_checked("fractions", f, 0 <= f <= 1, "in [0, 1]")
                  for f in _as_float_list(cfg, "fractions", [0.0, 0.5, 0.9])]
+    if not fractions:
+        raise ConfigError(
+            f"key 'fractions' lists no fraction: {cfg['fractions']!r}")
     label = cfg.get("experiment", "prune")
     with_targets = _teacher_targets(cfg, spec, ds)
     results = pruning_experiment(

@@ -176,19 +176,3 @@ def synthesize_gaussian(
     z = rng.standard_normal((d, n))
     x = q @ (np.sqrt(spectrum)[:, None] * z)
     return Dataset(X=x)
-
-
-def avg_pool_downsample(ds: Dataset, h: int, w: int, factor: int) -> Dataset:
-    """Average-pool each channel over non-overlapping factor x factor blocks."""
-    d, n = ds.X.shape
-    if d % (h * w) != 0:
-        raise DimensionError(f"d={d} is not a multiple of h*w={h * w}")
-    if h % factor != 0 or w % factor != 0:
-        raise DimensionError(f"h={h}, w={w} not divisible by factor={factor}")
-    c = d // (h * w)
-    imgs = ds.X.T.reshape(n, c, h, w)
-    pooled = imgs.reshape(
-        n, c, h // factor, factor, w // factor, factor
-    ).mean(axis=(3, 5))
-    x = pooled.reshape(n, c * (h // factor) * (w // factor)).T
-    return Dataset(X=x, Y=ds.Y)

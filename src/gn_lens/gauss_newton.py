@@ -39,8 +39,10 @@ from .network import (
     NetworkSpec,
     Params,
     TeacherSpec,
+    flatten_layers,
     forward,
     layer_products,
+    layer_views,
     lift_conv,
     partial_product,
 )
@@ -173,24 +175,11 @@ def gn_leaky(W, V, X, alpha: float) -> tuple[GnMatrix, np.ndarray]:
     return GnMatrix(matrix=g), gamma
 
 
-def _flatten_params(params: Params) -> np.ndarray:
-    return np.concatenate([w.ravel() for w in params.layers])
-
-
-def _unflatten_params(theta: np.ndarray, params: Params) -> Params:
-    layers = []
-    offset = 0
-    for w in params.layers:
-        size = w.size
-        layers.append(theta[offset : offset + size].reshape(w.shape))
-        offset += size
-    return Params(layers=tuple(layers))
-
-
 def _stacked_jacobian_fd(spec: NetworkSpec, params: Params,
                          X: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of the stacked outputs, (k*n) x p."""
-    theta = _flatten_params(params)
+    layers = params.layers
+    theta = flatten_layers(layers)
     base = forward(spec, params, X)
     if not np.all(np.isfinite(base)):
         raise NumericError("forward pass produced non-finite outputs")
@@ -202,8 +191,8 @@ def _stacked_jacobian_fd(spec: NetworkSpec, params: Params,
         plus[j] += h
         minus = theta.copy()
         minus[j] -= h
-        f_plus = forward(spec, _unflatten_params(plus, params), X)
-        f_minus = forward(spec, _unflatten_params(minus, params), X)
+        f_plus = forward(spec, Params(layers=layer_views(plus, layers)), X)
+        f_minus = forward(spec, Params(layers=layer_views(minus, layers)), X)
         # Columns of X index samples; stack sample-major, output-minor.
         jac[:, j] = ((f_plus - f_minus) / (2 * h)).T.ravel()
     if not np.all(np.isfinite(jac)):

@@ -1,5 +1,5 @@
 """Dense spectral primitives: eigendecompositions, SVD, Kronecker products,
-PSD square roots, pseudo-condition numbers and Weyl-type bounds.
+PSD square roots and pseudo-condition numbers.
 
 All matrices are plain 2-D float64 numpy arrays in row-major layout; the
 row-major vectorization convention is fixed package-wide so that Kronecker
@@ -223,17 +223,6 @@ def kron(a, b, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     return np.kron(a, b)
 
 
-def kron_extreme_eigs(spec_a: Spectrum, spec_b: Spectrum):
-    """(lambda_min, lambda_max) of A kron B from the PSD factor spectra."""
-    for s in (spec_a, spec_b):
-        floor = -_PSD_CLAMP * max(abs(s.max), 1.0)
-        if s.min < floor:
-            raise PsdViolationError(
-                f"spectrum has negative eigenvalue {s.min:.3e}; PSD required"
-            )
-    return spec_a.min * spec_b.min, spec_a.max * spec_b.max
-
-
 def psd_sqrt(m) -> np.ndarray:
     """Unique PSD square root; eigenvalues mildly below 0 are clamped."""
     spec, q = sym_eigendecompose(m, want_vectors=True)
@@ -272,13 +261,3 @@ def rank_sensitivity_sweep(spec: Spectrum) -> list[tuple[int, float]]:
             break
         out.append((r, float(v[0] / v[r - 1])))
     return out
-
-
-def weyl_sum_bounds(spec_a: Spectrum, spec_b: Spectrum) -> tuple[float, float]:
-    """Weyl / dual-Weyl bounds on the extremes of a sum of symmetric matrices.
-
-    Returns (upper bound on lambda_max(A+B), lower bound on lambda_min(A+B)).
-    """
-    if spec_a.values.size != spec_b.values.size:
-        raise DimensionError("spectra must have equal length")
-    return spec_a.max + spec_b.max, spec_a.min + spec_b.min

@@ -1,6 +1,7 @@
-"""Architecture specs, parameter containers, initializers, forward passes,
-partial weight products (one range, or all of them via `layer_products`),
-Toeplitz lifting of 1-D convolutions, and pruning.
+"""Architecture specs, parameter containers and their flat C-order layout,
+initializers, forward passes, partial weight products (one range, or all of
+them via `layer_products`), Toeplitz lifting of 1-D convolutions, and
+pruning.
 
 Layer ell (1-based, as in the product F(x) = W^L ... W^1 x) has shape
 a_ell x a_{ell-1}. Convolutional layers store their weights as a 3-D fibre
@@ -16,7 +17,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionError,
-    FormatError,
     NumericError,
     SpecError,
     ValidationError,
@@ -147,6 +147,20 @@ class Params:
                 if np.any(w[m == 0] != 0):
                     raise ValidationError("masked entries must be exactly zero")
             object.__setattr__(self, "masks", masks)
+
+
+def flatten_layers(arrays) -> np.ndarray | None:
+    """The arrays' entries in C order, one after another; None for None."""
+    if arrays is None:
+        return None
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def layer_views(buf: np.ndarray, layers) -> list[np.ndarray]:
+    """C-ordered views of the flat `buf`, one shaped like each layer."""
+    ends = np.cumsum([w.size for w in layers])
+    return [part.reshape(w.shape)
+            for part, w in zip(np.split(buf, ends[:-1]), layers)]
 
 
 @dataclass(frozen=True)
@@ -468,29 +482,3 @@ def prune_by_magnitude(params: Params, fraction: float) -> Params:
         new_layers.append((flat * mask).reshape(w.shape))
         new_masks.append(mask.reshape(w.shape))
     return Params(layers=tuple(new_layers), masks=tuple(new_masks))
-
-
-def save_params(path, params: Params) -> None:
-    """Textual checkpoint: `layers=L`, then per layer `rows cols` + doubles."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"layers={len(params.layers)}\n")
-        for w in params.layers:
-            shape = " ".join(str(s) for s in w.shape)
-            fh.write(shape + "\n")
-            fh.write(" ".join(repr(float(v)) for v in w.ravel()) + "\n")
-
-
-def load_params(path) -> Params:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("layers="):
-            raise FormatError("missing layers= header")
-        count = int(header.split("=", 1)[1])
-        layers = []
-        for _ in range(count):
-            shape = tuple(int(v) for v in fh.readline().split())
-            vals = np.array([float(t) for t in fh.readline().split()])
-            if vals.size != int(np.prod(shape)):
-                raise FormatError("entry count does not match declared shape")
-            layers.append(vals.reshape(shape))
-    return Params(layers=tuple(layers))

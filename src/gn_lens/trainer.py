@@ -38,8 +38,10 @@ from .network import (
     Params,
     chain_products,
     check_batch,
+    flatten_layers,
     forward,
     init,
+    layer_views,
     leaky_relu,
     lift_conv,
     prune_by_magnitude,
@@ -104,9 +106,9 @@ def mse_gradient(spec: NetworkSpec, params: Params, X, Y) -> list[np.ndarray]:
     _check_targets(spec, Y, x.shape[1])
     layers = params.layers
     grad = np.empty(sum(w.size for w in layers))
-    grads = _layer_views(grad, layers)
-    _gradient(spec, layers, _flat(params.masks), x, Y, _identities(layers),
-              grad, grads)
+    grads = layer_views(grad, layers)
+    _gradient(spec, layers, flatten_layers(params.masks), x, Y,
+              _identities(layers), grad, grads)
     return grads
 
 
@@ -130,20 +132,6 @@ def _check_training(spec: NetworkSpec, ds: Dataset) -> None:
 def _identities(layers) -> tuple[np.ndarray, np.ndarray]:
     """The identities of the output and input widths (`chain_products`)."""
     return np.eye(layers[-1].shape[0]), np.eye(layers[0].shape[1])
-
-
-def _flat(arrays) -> np.ndarray | None:
-    """The arrays' entries in C order, one after another; None for None."""
-    if arrays is None:
-        return None
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _layer_views(buf: np.ndarray, layers) -> list[np.ndarray]:
-    """C-ordered views of the flat `buf`, one shaped like each layer."""
-    ends = np.cumsum([w.size for w in layers])
-    return [part.reshape(w.shape)
-            for part, w in zip(np.split(buf, ends[:-1]), layers)]
 
 
 def _gradient(spec: NetworkSpec, layers, mask, X, Y, eyes, grad,
@@ -312,10 +300,10 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
     # weights there; then the two swap. The first step reads the caller's
     # layers in their own memory order, which GEMM rounds by.
     layers, masks = params.layers, params.masks
-    theta = _flat(layers)
+    theta = flatten_layers(layers)
     grad = np.empty_like(theta)
-    theta_layers, grads = _layer_views(theta, layers), _layer_views(grad, layers)
-    mask, eyes = _flat(masks), _identities(layers)
+    theta_layers, grads = layer_views(theta, layers), layer_views(grad, layers)
+    mask, eyes = flatten_layers(masks), _identities(layers)
 
     def snapshot() -> Params:
         # A copy: the buffers are written again by later steps.

@@ -27,7 +27,6 @@ from gn_lens import (
     init_aligned_svd,
     pseudo_condition_number,
     residual_product_bound,
-    self_balancing_report,
     singular_values,
 )
 from gn_lens.data import Dataset, synthesize_gaussian
@@ -284,23 +283,15 @@ class TestSelfBalancing:
         s = [2.0, 1.0, 0.5]
         params = init_aligned_svd(spec, singular_value_law="explicit",
                                   explicit=[s, s])
-        terms, _ = self_balancing_report(params, np.eye(3))
+        terms = bound_deep_convex(params, np.eye(3)).terms
         assert np.allclose([t.gamma_l for t in terms], 0.5)
-
-    def test_weighted_terms_sum_to_convex_bound(self):
-        spec = NetworkSpec(kind="linear_deep", dims=(4, 12, 12, 3))
-        params = init(spec, seed=9)
-        sigma = np.eye(4)
-        terms, ks = self_balancing_report(params, sigma)
-        total = ks * sum(t.weighted for t in terms)
-        assert np.isclose(total, bound_deep_convex(params, sigma).value)
 
     def test_mirrored_growth_and_decay(self):
         # Below-products: kappa^2 grows with depth while sigma_min^2 decays.
         spec = NetworkSpec(kind="linear_deep", dims=(16, 64, 64, 64, 64, 64,
                                                      64, 64, 8))
         params = init(spec, seed=10)
-        terms, _ = self_balancing_report(params, np.eye(16))
+        terms = bound_deep_convex(params, np.eye(16)).terms
         k2b = [t.kappa2_below for t in terms]
         s2b = [t.sig2min_below for t in terms]
         ells = np.arange(len(terms))

@@ -1,4 +1,4 @@
-"""Tests for dataset loading, covariance, whitening and pooling."""
+"""Tests for dataset loading, covariance and whitening."""
 
 import struct
 
@@ -7,7 +7,6 @@ import pytest
 
 from gn_lens import (
     Dataset,
-    avg_pool_downsample,
     empirical_covariance,
     load_csv,
     load_idx,
@@ -15,7 +14,7 @@ from gn_lens import (
     whiten,
     write_csv,
 )
-from gn_lens.errors import DimensionError, FormatError, ValidationError
+from gn_lens.errors import FormatError, ValidationError
 
 
 def naive_covariance(x):
@@ -195,36 +194,3 @@ class TestSynthesizeGaussian:
         with pytest.raises(ValidationError):
             synthesize_gaussian(d=3, n=5, covariance_spectrum=[1.0, -1.0, 2.0])
 
-
-def naive_pool(img, factor):
-    h, w = img.shape
-    out = np.zeros((h // factor, w // factor))
-    for i in range(out.shape[0]):
-        for j in range(out.shape[1]):
-            out[i, j] = img[i * factor:(i + 1) * factor,
-                            j * factor:(j + 1) * factor].mean()
-    return out
-
-
-class TestAvgPool:
-    def test_constant_image(self):
-        x = np.full((16, 3), 2.5)
-        out = avg_pool_downsample(Dataset(X=x), h=4, w=4, factor=2)
-        assert np.allclose(out.X, 2.5)
-        assert out.X.shape == (4, 3)
-
-    def test_two_by_two(self):
-        x = np.array([[1.0], [2.0], [3.0], [4.0]])
-        out = avg_pool_downsample(Dataset(X=x), h=2, w=2, factor=2)
-        assert np.allclose(out.X, [[2.5]])
-
-    def test_matches_naive_loop(self):
-        rng = np.random.default_rng(6)
-        img = rng.standard_normal((4, 4))
-        ds = Dataset(X=img.reshape(16, 1))
-        out = avg_pool_downsample(ds, h=4, w=4, factor=2)
-        assert np.allclose(out.X[:, 0], naive_pool(img, 2).ravel())
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            avg_pool_downsample(Dataset(X=np.zeros((15, 2))), h=4, w=4, factor=2)

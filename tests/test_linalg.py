@@ -14,13 +14,11 @@ from gn_lens import (
     RankPolicy,
     Spectrum,
     kron,
-    kron_extreme_eigs,
     pseudo_condition_number,
     psd_sqrt,
     rank_sensitivity_sweep,
     singular_values,
     sym_eigendecompose,
-    weyl_sum_bounds,
 )
 from gn_lens.errors import (
     DimensionError,
@@ -155,36 +153,6 @@ class TestKron:
             kron(np.eye(200), np.eye(200), dim_cap=10_000)
 
 
-class TestKronExtremeEigs:
-    def test_hand_case(self):
-        a = Spectrum.from_values([4.0, 1.0])
-        b = Spectrum.from_values([3.0, 2.0])
-        assert kron_extreme_eigs(a, b) == (2.0, 12.0)
-
-    def test_identity_factor(self):
-        a = Spectrum.from_values([5.0, 0.5])
-        ones = Spectrum.from_values([1.0, 1.0, 1.0])
-        assert kron_extreme_eigs(a, ones) == (0.5, 5.0)
-
-    def test_matches_dense_kron(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            a = rng.standard_normal((4, 4))
-            a = a @ a.T
-            b = rng.standard_normal((5, 5))
-            b = b @ b.T
-            lo, hi = kron_extreme_eigs(sym_eigendecompose(a),
-                                       sym_eigendecompose(b))
-            dense = sym_eigendecompose(kron(a, b))
-            assert abs(dense.max - hi) < 1e-8 * max(1, hi)
-            assert abs(dense.min - lo) < 1e-8 * max(1, hi)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(PsdViolationError):
-            kron_extreme_eigs(Spectrum.from_values([1.0, -1.0]),
-                              Spectrum.from_values([1.0]))
-
-
 class TestPsdSqrt:
     def test_diagonal(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
@@ -249,29 +217,3 @@ class TestRankSensitivity:
     def test_stops_at_zero(self):
         spec = Spectrum.from_values([4.0, 0.0])
         assert rank_sensitivity_sweep(spec) == [(1, 1.0)]
-
-
-class TestWeylSumBounds:
-    def test_diagonal_case(self):
-        a = sym_eigendecompose(np.diag([2.0, 1.0]))
-        b = sym_eigendecompose(np.diag([1.0, 3.0]))
-        assert weyl_sum_bounds(a, b) == (5.0, 2.0)
-
-    def test_zero_summand(self):
-        a = sym_eigendecompose(np.diag([2.0, -1.0]))
-        b = sym_eigendecompose(np.zeros((2, 2)))
-        assert weyl_sum_bounds(a, b) == (2.0, -1.0)
-
-    def test_bounds_hold_on_random_pairs(self):
-        rng = np.random.default_rng(6)
-        for _ in range(1000):
-            n = int(rng.integers(2, 7))
-            a = rng.standard_normal((n, n))
-            a = a + a.T
-            b = rng.standard_normal((n, n))
-            b = b + b.T
-            upper, lower = weyl_sum_bounds(sym_eigendecompose(a),
-                                           sym_eigendecompose(b))
-            total = sym_eigendecompose(a + b)
-            assert total.max <= upper + 1e-10
-            assert total.min >= lower - 1e-10

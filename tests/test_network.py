@@ -1,5 +1,5 @@
-"""Tests for architecture specs, initializers, forwards, Toeplitz lifting,
-pruning and parameter checkpoints."""
+"""Tests for architecture specs, initializers, forwards, Toeplitz lifting
+and pruning."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,8 @@ from gn_lens import (
     init,
     init_aligned_svd,
     lift_conv,
-    load_params,
     partial_product,
     prune_by_magnitude,
-    save_params,
     singular_values,
     toeplitz_from_filter,
     toeplitz_layer,
@@ -250,22 +248,3 @@ class TestPrune:
         with pytest.raises(ValidationError):
             prune_by_magnitude(params, 1.5)
 
-
-class TestCheckpointFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(12)
-        params = Params(layers=(rng.standard_normal((3, 4)),
-                                rng.standard_normal((2, 3))))
-        path = tmp_path / "params.txt"
-        save_params(path, params)
-        back = load_params(path)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(back.layers, params.layers)
-        )
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("nope\n")
-        from gn_lens.errors import FormatError
-        with pytest.raises(FormatError):
-            load_params(path)

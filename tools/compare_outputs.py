@@ -181,6 +181,11 @@ CLI_CASES = [
     ("exit2_prune_fraction_over_one", "prune", [],
      SMALL + TRAIN + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
                      "fractions = 0,1.5\n"),
+    ("exit2_prune_empty_fractions", "prune", [],
+     SMALL + TRAIN + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
+                     "fractions = ,\n"),
+    ("exit2_sweep_negative_jobs", "sweep", ["--jobs", "-1"],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\naxis = L\nvalues = 2,3\n"),
     ("exit2_whiten_eigen_floor_nan", "whiten", [],
      SMALL + "cov_spectrum = logspace:2,-2\neigen_floor = nan\n"
              "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
