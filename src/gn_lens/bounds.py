@@ -1,26 +1,25 @@
 """Analytic upper bounds on the GN condition number, each returned as a
-report of its value and kappa(Sigma) (NaN for the Leaky-ReLU bound); the
-depth bounds add their per-layer terms, `bound_one_hidden` its weight
-beta_w = s_min(W)^2 / (s_min(W)^2 + s_min(V)^2) in `extras`.
+report of its value and kappa(Sigma) (NaN for the Leaky-ReLU bound). The
+depth bounds, `bound_one_hidden` (L = 2) among them, add their per-layer
+terms, with `RankPolicy.default_for`'s cutoff for a zero singular value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import AssumptionError, DegenerateDataError
 from .linalg import (
+    RankPolicy,
     as_matrix,
     pseudo_condition_number,
     svdvals,
     sym_eigendecompose,
 )
 from .network import Params, TeacherSpec, layer_products
-
-_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -50,35 +49,33 @@ def _kappa_sigma(sigma) -> float:
 
 
 def bound_one_hidden(W, V, sigma) -> BoundReport:
-    """One-hidden-layer linear bound: kappa(Sigma) times the ratio of summed
-    extreme squared singular values of the two layers."""
-    w = as_matrix(W, "W")
-    v = as_matrix(V, "V")
-    sw = svdvals(w)
-    sv = svdvals(v)
-    den = sw[-1] ** 2 + sv[-1] ** 2
-    if den <= 0:
-        raise DegenerateDataError("both layers are rank-deficient; bound undefined")
-    beta_w = sw[-1] ** 2 / den
-    ks = _kappa_sigma(sigma)
-    value = ks * (sw[0] ** 2 + sv[0] ** 2) / den
-    return BoundReport(value=value, kappa_sigma=ks, extras={"beta_w": beta_w})
+    """One-hidden-layer linear bound: the convex depth bound of the net V
+    then W, with its weight gamma_1 on W's term as `extras["beta_w"]`."""
+    params = Params(layers=(as_matrix(V, "V"), as_matrix(W, "W")))
+    try:
+        convex = depth_bounds(sigma, layer_products(params))[0]
+    except AssumptionError as exc:
+        raise DegenerateDataError(str(exc)) from exc
+    return replace(convex, extras={"beta_w": convex.terms[0].gamma_l})
 
 
 def _depth_terms(products) -> list[LayerTerm]:
-    """Per-layer terms from `products = layer_products(params, beta)`."""
+    """Per-layer terms from `products = layer_products(params, beta)`. The GN
+    reads the k x k Gram of the product above ell and the d x d Gram of the
+    one below; where that Gram is singular, sigma_min counts as 0."""
     raw = []
-    for ell, pair in enumerate(zip(*products), start=1):
+    for ell, (above, below) in enumerate(zip(*products), start=1):
         extremes = []
-        for p in pair:
+        for p, gram in ((above, above.shape[0]), (below, below.shape[1])):
             s = svdvals(p)
             if s[0] == 0:
                 raise AssumptionError(
                     f"a partial product at layer {ell} is zero, so its kappa is "
                     "0/0; bound undefined")
-            # NumPy's matrix_rank cutoff: a singular value at or below it is
-            # rounding noise, so the product is rank-deficient.
-            rank_deficient = s[-1] <= max(p.shape) * _EPS * s[0]
+            # Singular: fewer singular values than the Gram's size, or the
+            # last at or below NumPy's matrix_rank cutoff (rounding noise).
+            factor = RankPolicy.default_for(*p.shape).value
+            rank_deficient = s.size < gram or s[-1] <= factor * s[0]
             extremes.append((s[0], 0.0 if rank_deficient else s[-1]))
         raw.append((ell, *extremes))
     alphas = np.array([(sa[1] ** 2) * (sb[1] ** 2) for _, sa, sb in raw])

@@ -259,7 +259,8 @@ def check_kind(cfg: dict, trains: bool = False, axis: str | None = None) -> str:
         if key in _NETWORK_KEYS and key not in KINDS[kind]:
             raise ConfigError(f"key {key!r}: kind {kind!r} does not read it")
     if cfg.get("init") == "aligned_svd" and kind not in ALIGNED_KINDS:
-        raise SpecError("aligned init is defined for linear/residual kinds")
+        raise ConfigError("key 'init': aligned init is defined for "
+                          f"linear/residual kinds, not {kind!r}")
     return kind
 
 

@@ -24,8 +24,6 @@ from .errors import (
 # Largest allowed dimension for a dense result (rows and cols each).
 DEFAULT_DIM_CAP = 10_000
 
-_EPS = np.finfo(np.float64).eps
-
 # PSD eigenvalues down to -_PSD_CLAMP * max(lambda_max, 1) count as roundoff.
 _PSD_CLAMP = 1e-10
 
@@ -42,16 +40,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigen- or singular values sorted descending, with a numerical rank.
-
-    `numerical_rank` counts values whose magnitude exceeds `tolerance`
-    (the magnitude matters only for sign-symmetric eigenspectra; for the
-    usual nonnegative case this is simply the count above the cutoff).
-    """
+    """Eigen- or singular values, sorted descending. Which of them count as
+    nonzero is for a `RankPolicy` to decide (`pseudo_condition_number`)."""
 
     values: np.ndarray
-    numerical_rank: int
-    tolerance: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -59,16 +51,11 @@ class Spectrum:
             raise DimensionError("Spectrum values must be 1-D")
         if np.any(np.diff(v) > 0):
             raise ValidationError("Spectrum values must be non-increasing")
-        if not 0 <= self.numerical_rank <= v.size:
-            raise ValidationError("numerical_rank out of range")
         object.__setattr__(self, "values", v)
 
     @classmethod
     def from_values(cls, values) -> "Spectrum":
-        v = np.sort(np.asarray(values, dtype=np.float64))[::-1]
-        tolerance = v.size * _EPS * np.abs(v).max(initial=0.0)
-        rank = int(np.sum(np.abs(v) > tolerance))
-        return cls(values=v, numerical_rank=rank, tolerance=float(tolerance))
+        return cls(values=np.sort(np.asarray(values, dtype=np.float64))[::-1])
 
     @property
     def max(self) -> float:
@@ -112,7 +99,7 @@ class RankPolicy:
     @classmethod
     def default_for(cls, rows: int, cols: int) -> "RankPolicy":
         """Standard numerical-rank practice: max(rows, cols) * machine eps."""
-        return cls.relative(max(rows, cols) * _EPS)
+        return cls.relative(max(rows, cols) * np.finfo(np.float64).eps)
 
     def select_rank(self, values: np.ndarray) -> int:
         if self.mode == "analytic":

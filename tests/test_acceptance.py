@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from gn_lens import (
     NetworkSpec,
@@ -25,7 +24,6 @@ from gn_lens import (
     bound_residual_convex,
     bound_residual_max,
     empirical_covariance,
-    forward,
     functional_hessian_spectrum,
     gn_conv_shared,
     gn_from_jacobian,
@@ -45,7 +43,6 @@ from gn_lens import (
     whiten,
 )
 from gn_lens.data import Dataset, synthesize_gaussian
-from gn_lens.errors import DegenerateDataError
 from gn_lens.linalg import RankPolicy
 from gn_lens.network import conv_forward
 

@@ -19,7 +19,6 @@ from gn_lens import (
     bound_one_hidden,
     bound_residual_convex,
     bound_residual_max,
-    empirical_covariance,
     functional_hessian_spectrum,
     gn_leaky,
     gn_linear,
@@ -29,7 +28,6 @@ from gn_lens import (
     residual_product_bound,
     singular_values,
 )
-from gn_lens.data import Dataset, synthesize_gaussian
 from gn_lens.errors import AssumptionError, DegenerateDataError
 from gn_lens.linalg import RankPolicy
 

@@ -6,7 +6,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from gn_lens import Spectrum, pseudo_condition_number
 from gn_lens.cli import main
@@ -280,7 +279,7 @@ data_seed = 3
         report = read_table(tmp_path / "whiten.csv")[0]
         assert float(report["kappa_before"]) > 100
         assert float(report["kappa_after"]) <= 1 + 1e-6
-        from gn_lens import Dataset, empirical_covariance, load_csv
+        from gn_lens import empirical_covariance, load_csv
         white = load_csv(tmp_path / "whitened.csv")
         cov = empirical_covariance(white)
         assert np.allclose(cov, np.eye(5), atol=1e-8)

@@ -120,7 +120,8 @@ ALIGNED_FAILING_EVERY_CELL = {
     "leaky_alpha": ({"data": "synthetic", "d": "12", "n": "10",
                      "kind": "leaky_one_hidden", "k": "2", "m": "9",
                      "axis": "alpha", "values": "0,0.5"},
-                    "aligned init is defined for linear/residual kinds"),
+                    "key 'init': aligned init is defined for linear/residual "
+                    "kinds, not 'leaky_one_hidden'"),
     "narrow_residual_beta": ({"data": "synthetic", "d": "4", "n": "30",
                               "kind": "residual", "k": "2", "m": "3", "L": "3",
                               "axis": "beta", "values": "0,0.5"},

@@ -116,7 +116,7 @@ INSTANCES = {
 def fingerprint(m):
     """The bytes of every number a `Metrics` holds."""
     scalars = (m.kappa, m.kappa_sigma, m.bound_convex, m.bound_max,
-               m.bound_other, m.spectrum.tolerance, m.spectrum.numerical_rank)
+               m.bound_other)
     return (np.array(scalars).tobytes(), m.spectrum.values.tobytes(),
             np.array([astuple(t) for t in m.terms], dtype=float).tobytes())
 

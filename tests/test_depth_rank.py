@@ -39,8 +39,9 @@ def read_table(path):
 
 
 def test_a_bottleneck_gives_an_infinite_max_bound(tmp_path):
-    # The width-6 layer makes the 9 x 10 product below layer 4 of rank 6;
-    # its computed sigma_min^2 is ~1e-33, which used to give bound_max ~1e34.
+    # The width-6 layer makes the 6 x 10 and 9 x 10 products below layers 3
+    # and 4 of rank 6, so their 10 x 10 Grams are singular. The latter's
+    # computed sigma_min^2 is ~1e-33, which used to give bound_max ~1e34.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(BOTTLENECK)
     assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -50,12 +51,12 @@ def test_a_bottleneck_gives_an_infinite_max_bound(tmp_path):
     assert kappa <= float(row["bound_convex"]) < math.inf
     assert row["bound_max"] == "inf"
     terms = read_table(tmp_path / "terms.csv")
-    assert [t["kappa2_below"] for t in terms][-1] == "inf"
+    assert [t["kappa2_below"] for t in terms][2:] == ["inf", "inf"]
     last = terms[-1]
     assert float(last["sig2min_below"]) == float(last["alpha_l"]) == 0.0
     assert float(last["gamma_l"]) == 0.0
     assert 0 < float(last["weighted"]) < math.inf
-    assert all(math.isfinite(float(t["kappa2_below"])) for t in terms[:-1])
+    assert all(math.isfinite(float(t["kappa2_below"])) for t in terms[:2])
 
 
 def test_convex_bound_is_the_limit_of_its_terms():

@@ -17,7 +17,6 @@ from gn_lens import (
     gn_linear,
     gn_residual,
     init,
-    init_aligned_svd,
     lift_conv,
     pseudo_condition_number,
     sym_eigendecompose,

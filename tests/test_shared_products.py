@@ -76,7 +76,6 @@ def test_metrics_equal_the_public_builders(kind, dims, beta, seed):
         pair = (bound_residual_convex, bound_residual_max)
         args = (params, beta, sigma)
     assert np.array_equal(metrics.spectrum.values, spectrum.values)
-    assert metrics.spectrum.numerical_rank == spectrum.numerical_rank
     assert same(metrics.kappa, pseudo_condition_number(spectrum))
     try:
         convex, maximum = (bound(*args) for bound in pair)

@@ -9,7 +9,6 @@ from gn_lens import (
     NetworkSpec,
     Params,
     TrainConfig,
-    forward,
     init,
     mse_gradient,
     mse_loss,
@@ -17,7 +16,7 @@ from gn_lens import (
     prune_by_magnitude,
     train,
 )
-from gn_lens.data import Dataset, synthesize_gaussian
+from gn_lens.data import Dataset
 from gn_lens.errors import DimensionError, SpecError, ValidationError
 
 

@@ -4,12 +4,13 @@
     python3 tools/compare_outputs.py --base /path/to/other/src [--head src]
 
 Each case is one `gn_lens.cli` invocation, or one library script that saves
-GN matrices and spectra as raw float64 files, run once per tree in a fresh
-interpreter with that tree on PYTHONPATH and BLAS pinned to one thread. The
-cases cover every command and kind, every rank policy mode, CSV data with a
-label column, exit codes 2 and 3, the benchmark's four workload configs
-(`bench/run.py`, seed 0) and the GN builders that the CLI does not reach
-(`gn_conv_shared`, `gn_from_jacobian`).
+GN matrices, spectra and bound values as raw float64 files, run once per
+tree in a fresh interpreter with that tree on PYTHONPATH and BLAS pinned to
+one thread. The cases cover every command and kind, every rank policy mode,
+CSV data with a label column, exit codes 2 and 3, the benchmark's four
+workload configs (`bench/run.py`, seed 0), the GN builders that the CLI
+does not reach (`gn_conv_shared`, `gn_from_jacobian`) and the library's
+bound functions.
 For each case the report gives both exit codes, whether stderr matches, and
 per output file whether it is byte-identical; where a file differs it gives
 the largest relative deviation per numeric CSV column (or over a raw float64
@@ -210,11 +211,13 @@ CLI_CASES = [
 ] + [(f"bench_{w.name}", w.command, ["--jobs", str(w.jobs)], w.config_text(0))
      for w in WORKLOADS.values()]
 
-# Saves, per builder, the GN matrix and its spectrum as raw float64 files.
+# Saves, per builder, the GN matrix and its spectrum as raw float64 files, and
+# per bound function its values (NaN where the bound is undefined).
 LIBRARY_SCRIPT = """
 import sys
 import numpy as np
 import gn_lens as g
+from gn_lens.errors import AssumptionError, DegenerateDataError
 from gn_lens.network import NetworkSpec, init
 
 out = sys.argv[1]
@@ -242,6 +245,29 @@ gns = {
 for name, gn in gns.items():
     gn.matrix.tofile(f"{out}/{name}.f64")
     gn.spectrum().values.tofile(f"{out}/{name}.spectrum.f64")
+
+v_wide, w_wide = init(NetworkSpec(kind="linear_deep", dims=(20, 24, 3)),
+                      seed=5).layers
+v_narrow, w_narrow = p_leaky.layers
+x_few = x[:, :12]
+gamma = g.gn_leaky(w_narrow, v_narrow, x_few, 0.1)[1]
+bounds = {
+    "bound_one_hidden": [lambda: g.bound_one_hidden(w_wide, v_wide, sigma),
+                         lambda: g.bound_one_hidden(w_narrow, v_narrow, sigma)],
+    "bound_deep_convex": [lambda: g.bound_deep_convex(p_deep, sigma)],
+    "bound_deep_max": [lambda: g.bound_deep_max(p_deep, sigma)],
+    "bound_residual_convex": [lambda: g.bound_residual_convex(p_res, 0.5, sigma)],
+    "bound_residual_max": [lambda: g.bound_residual_max(p_res, 0.5, sigma)],
+    "bound_leaky": [lambda: g.bound_leaky(w_narrow, v_narrow, x_few, 0.1, gamma)],
+}
+for name, calls in bounds.items():
+    values = []
+    for call in calls:
+        try:
+            values.append(call().value)
+        except (AssumptionError, DegenerateDataError):
+            values.append(np.nan)
+    np.array(values).tofile(f"{out}/{name}.f64")
 """
 
 
