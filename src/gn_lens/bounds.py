@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AssumptionError, DegenerateDataError
+from .errors import AssumptionError, DegenerateDataError, DimensionError
 from .linalg import (
     RankPolicy,
     as_matrix,
@@ -51,9 +51,19 @@ def _kappa_sigma(sigma) -> float:
 def bound_one_hidden(W, V, sigma) -> BoundReport:
     """One-hidden-layer linear bound: the convex depth bound of the net V
     then W, with its weight gamma_1 on W's term as `extras["beta_w"]`."""
-    params = Params(layers=(as_matrix(V, "V"), as_matrix(W, "W")))
+    w = as_matrix(W, "W")
+    v = as_matrix(V, "V")
+    sigma = as_matrix(sigma, "sigma")
+    if w.shape[1] != v.shape[0]:
+        raise DimensionError(
+            f"W has {w.shape[1]} columns but V has {v.shape[0]} rows")
+    d = v.shape[1]
+    if sigma.shape != (d, d):
+        raise DimensionError(
+            f"sigma is {sigma.shape[0]}x{sigma.shape[1]}, need {d}x{d} for "
+            f"V's {d} columns")
     try:
-        convex = depth_bounds(sigma, layer_products(params))[0]
+        convex = depth_bounds(sigma, layer_products(Params(layers=(v, w))))[0]
     except AssumptionError as exc:
         raise DegenerateDataError(str(exc)) from exc
     return replace(convex, extras={"beta_w": convex.terms[0].gamma_l})
@@ -62,22 +72,34 @@ def bound_one_hidden(W, V, sigma) -> BoundReport:
 def _depth_terms(products) -> list[LayerTerm]:
     """Per-layer terms from `products = layer_products(params, beta)`. The GN
     reads the k x k Gram of the product above ell and the d x d Gram of the
-    one below; where that Gram is singular, sigma_min counts as 0."""
+    one below; where that Gram is singular, sigma_min counts as 0.
+
+    Products of one shape share one `svdvals` call on their stack and one
+    cutoff. NumPy runs each slice of a stack through the LAPACK call it
+    makes for that slice alone, so every value is the same bit for bit.
+    """
+    above, below = products
+    flat = [(p, p.shape[0]) for p in above] + [(p, p.shape[1]) for p in below]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (p, _) in enumerate(flat):
+        groups.setdefault(p.shape, []).append(i)
+    extremes = [None] * len(flat)
+    for shape, members in groups.items():
+        spectra = svdvals(np.stack([flat[i][0] for i in members]))
+        # Singular: fewer singular values than the Gram's size, or the
+        # last at or below NumPy's matrix_rank cutoff (rounding noise).
+        factor = RankPolicy.default_for(*shape).value
+        for i, s in zip(members, spectra):
+            rank_deficient = s.size < flat[i][1] or s[-1] <= factor * s[0]
+            extremes[i] = (s[0], 0.0 if rank_deficient else s[-1])
     raw = []
-    for ell, (above, below) in enumerate(zip(*products), start=1):
-        extremes = []
-        for p, gram in ((above, above.shape[0]), (below, below.shape[1])):
-            s = svdvals(p)
-            if s[0] == 0:
-                raise AssumptionError(
-                    f"a partial product at layer {ell} is zero, so its kappa is "
-                    "0/0; bound undefined")
-            # Singular: fewer singular values than the Gram's size, or the
-            # last at or below NumPy's matrix_rank cutoff (rounding noise).
-            factor = RankPolicy.default_for(*p.shape).value
-            rank_deficient = s.size < gram or s[-1] <= factor * s[0]
-            extremes.append((s[0], 0.0 if rank_deficient else s[-1]))
-        raw.append((ell, *extremes))
+    for ell, pair in enumerate(
+            zip(extremes[:len(above)], extremes[len(above):]), start=1):
+        if pair[0][0] == 0 or pair[1][0] == 0:
+            raise AssumptionError(
+                f"a partial product at layer {ell} is zero, so its kappa is "
+                "0/0; bound undefined")
+        raw.append((ell, *pair))
     alphas = np.array([(sa[1] ** 2) * (sb[1] ** 2) for _, sa, sb in raw])
     total = alphas.sum()
     if total == 0:

@@ -176,7 +176,7 @@ def parse_rank_policy(text: str) -> RankPolicy | None:
     if text == "default":
         return None
     if ":" not in text:
-        raise ConfigError(f"bad rank_policy {text!r}")
+        raise ConfigError(f"key 'rank_policy': bad policy {text!r}")
     mode, arg = text.split(":", 1)
     try:
         if mode == "analytic":
@@ -186,8 +186,9 @@ def parse_rank_policy(text: str) -> RankPolicy | None:
         if mode == "absolute":
             return RankPolicy.absolute(float(arg))
     except (ValueError, ValidationError) as exc:
-        raise ConfigError(f"bad rank_policy {text!r}: {exc}") from exc
-    raise ConfigError(f"bad rank_policy mode {mode!r}")
+        raise ConfigError(
+            f"key 'rank_policy': bad policy {text!r}: {exc}") from exc
+    raise ConfigError(f"key 'rank_policy': bad mode {mode!r}")
 
 
 def _cov_spectrum(cfg, d: int) -> np.ndarray:
@@ -217,17 +218,17 @@ def load_dataset(cfg: dict) -> Dataset:
         )
     elif source == "csv":
         if "data_path" not in cfg:
-            raise ConfigError("data=csv requires data_path")
+            raise ConfigError("key 'data_path': required by data = csv")
         ds = load_csv(cfg["data_path"], label_column=_as_bool(cfg, "label_column"))
     elif source == "idx":
         if "data_path" not in cfg:
-            raise ConfigError("data=idx requires data_path")
+            raise ConfigError("key 'data_path': required by data = idx")
         ds = load_idx(
             cfg["data_path"], limit=_as_int(cfg, "limit", 0),
             seed=_at_least("data_seed", _as_int(cfg, "data_seed", 0), 0),
         )
     else:
-        raise ConfigError(f"unknown data source {cfg['data']!r}")
+        raise ConfigError(f"key 'data': unknown source {source!r}")
     if _as_bool(cfg, "whiten"):
         ds, _ = whiten(ds, eigen_floor=_eigen_floor(cfg))
     return ds

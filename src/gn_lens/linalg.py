@@ -86,14 +86,16 @@ class RankPolicy:
 
     @classmethod
     def relative(cls, factor: float) -> "RankPolicy":
-        if factor < 0:
-            raise ValidationError("relative threshold factor must be >= 0")
+        if not 0 <= factor < np.inf:
+            raise ValidationError(
+                "relative threshold factor must be finite and >= 0")
         return cls(mode="relative", value=factor)
 
     @classmethod
     def absolute(cls, cutoff: float) -> "RankPolicy":
-        if cutoff < 0:
-            raise ValidationError("absolute threshold cutoff must be >= 0")
+        if not 0 <= cutoff < np.inf:
+            raise ValidationError(
+                "absolute threshold cutoff must be finite and >= 0")
         return cls(mode="absolute", value=cutoff)
 
     @classmethod
@@ -187,7 +189,8 @@ def sym_eigendecompose(m, want_vectors: bool = False):
 
 
 def svdvals(m: np.ndarray) -> np.ndarray:
-    """Singular values of a 2-D array, descending, as a plain array."""
+    """Singular values of a 2-D array, descending, as a plain array; of an
+    (n, rows, cols) stack, one such row per matrix."""
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:

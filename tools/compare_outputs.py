@@ -199,6 +199,9 @@ CLI_CASES = [
     ("exit2_conv_unread_widths", "analyze", [],
      "data = synthetic\nd = 12\nn = 64\nkind = linear_conv\nfilters = 2\n"
      "kernel = 3\nL = 7\nk = 5\nseeds = 0\n"),
+    ("exit2_rank_policy_nan", "analyze", [],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
+             "rank_policy = relative:nan\n"),
     ("exit3_cap", "analyze", [],
      "data = synthetic\nd = 2000\nn = 8\nkind = linear_deep\nk = 600\n"
      "m = 4\nL = 2\nseeds = 0\n"),
