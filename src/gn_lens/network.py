@@ -124,15 +124,22 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class Params:
-    """Per-layer weights, optionally with persistent 0/1 pruning masks."""
+    """Per-layer weights, optionally with persistent 0/1 pruning masks.
+
+    draw is the `Draw` record that `init` drew the layers into, if it was
+    given one; `layer_products` reuses the record's products over the
+    leading layers that are still its arrays. Those layers were checked
+    finite when drawn and are not checked again; every other layer is.
+    """
 
     layers: tuple[np.ndarray, ...]
     masks: tuple[np.ndarray, ...] | None = None
+    draw: Draw | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         layers = tuple(np.asarray(w, dtype=np.float64) for w in self.layers)
         object.__setattr__(self, "layers", layers)
-        for w in layers:
+        for w in layers[_drawn_prefix(layers, self.draw):]:
             if not np.isfinite(w).all():
                 raise ValidationError("layer weights contain non-finite entries")
         if self.masks is not None:
@@ -191,13 +198,28 @@ class Draw:
     """The i.i.d. Gaussian layers the last `init` given this record drew.
 
     keys[i] is the (shape, scale) of layers[i], and states[i] the state of
-    the seed's bit generator after drawing it. Draw() holds no layers.
+    the seed's bit generator after drawing it. below[i] is the read-only
+    product of layers[:i + 1], each shifted by beta at beta != 0, as
+    `layer_products` built it for a net of these layers; every one was
+    built from the record's current layers. Draw() holds no layers.
     """
 
     seed: int | None = None
     layers: list[np.ndarray] = field(default_factory=list)
     keys: list[tuple[tuple[int, ...], float]] = field(default_factory=list)
     states: list[dict] = field(default_factory=list)
+    beta: float | None = None
+    below: list[np.ndarray] = field(default_factory=list)
+
+
+def _drawn_prefix(layers, draw: Draw | None) -> int:
+    """How many leading layers are the read-only arrays of `draw`."""
+    count = 0
+    for w, own in zip(layers, draw.layers if draw is not None else ()):
+        if w is not own or w.flags.writeable:
+            break
+        count += 1
+    return count
 
 
 def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
@@ -209,14 +231,15 @@ def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
     prefix of its layers whose (shape, scale) sequence matches this net's,
     draws the layers after it from the generator state saved after that
     prefix, and leaves this draw in the record; the record's other layers,
-    another seed's included, are dropped before drawing. Drawing a normals
-    and then b equals drawing a + b and splitting, so the layers are those
-    of a fresh init bit for bit. They are read-only, since later draws may
-    share them.
+    another seed's included, are dropped before drawing, and so are its
+    below products past the kept prefix. Drawing a normals and then b
+    equals drawing a + b and splitting, so the layers are those of a fresh
+    init bit for bit. They are read-only, since later draws may share them.
+    The returned Params holds the record, if one was given.
     """
     if scheme == "aligned_svd":
         return init_aligned_svd(spec, seed=seed)
-    draw = Draw() if draw is None else draw
+    record, draw = draw, Draw() if draw is None else draw
     keys = [(shape, _layer_sigma(shape, scheme, sigma))
             for shape in spec.layer_shapes()]
     kept = 0
@@ -226,6 +249,7 @@ def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
             kept += 1
     draw.seed = seed
     del draw.layers[kept:], draw.keys[kept:], draw.states[kept:]
+    del draw.below[kept:]
     rng = np.random.default_rng(seed)
     if kept:
         rng.bit_generator.state = draw.states[-1]
@@ -239,7 +263,7 @@ def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
         draw.layers.append(layer)
         draw.keys.append((shape, scale))
         draw.states.append(rng.bit_generator.state)
-    return Params(layers=tuple(draw.layers))
+    return Params(layers=tuple(draw.layers), draw=record)
 
 
 def init_aligned_svd(spec: NetworkSpec, singular_value_law="abs_gaussian",
@@ -395,27 +419,48 @@ def layer_products(params: Params, beta: float = 0.0):
     layer into the last one (a_{ell-1} x a_{ell-2} by a_{ell-2} x d), which
     reassociates partial_product's chain. Layers are shifted one at a time,
     by one `partial_product(params, ell, ell, beta)` call each per pass.
+
+    When params comes from `init` with a `Draw` record, the below products
+    over its leading layers that are still the record's arrays are taken
+    from the record at the same beta, and only the rest are built: the
+    same products of the same arrays, so the same bytes. When all layers
+    are the record's, the products built here are left in it, read-only.
     """
     layers = params.layers
     L = len(layers)
-    return chain_products(
+    draw = params.draw
+    shared = _drawn_prefix(layers, draw)
+    held = (draw.below[:min(shared, L - 1)]
+            if shared and draw.beta == beta else [])
+    above, below = chain_products(
         (partial_product(params, ell, ell, beta) for ell in range(L, 1, -1)),
-        (partial_product(params, ell, ell, beta) for ell in range(1, L)),
-        np.eye(layers[-1].shape[0]), np.eye(layers[0].shape[1]))
+        (partial_product(params, ell, ell, beta)
+         for ell in range(len(held) + 1, L)),
+        np.eye(layers[-1].shape[0]), np.eye(layers[0].shape[1]), held)
+    if shared == L == len(draw.layers):
+        if draw.beta != beta:
+            draw.beta, draw.below = beta, []
+        for product in below[len(draw.below) + 1:]:
+            product.flags.writeable = False
+            draw.below.append(product)
+    return above, below
 
 
-def chain_products(upper, lower, eye_out: np.ndarray, eye_in: np.ndarray):
+def chain_products(upper, lower, eye_out: np.ndarray, eye_in: np.ndarray,
+                   held=()):
     """`layer_products` from the layers each pass multiplies, in the order
-    it takes them: upper yields layers L down to 2 and lower layers 1 up to
-    L - 1, each shifted for a residual net at beta != 0. eye_out and eye_in
-    are the identities of widths k and d: the products above layer L and
-    below layer 1. Only the thin products are kept, so layers yielded one
-    at a time are freed one at a time.
+    it takes them: upper yields layers L down to 2 and lower layers
+    len(held) + 1 up to L - 1, each shifted for a residual net at
+    beta != 0; held are the below products already built, of layers 1 up
+    to 1, 2, ..., len(held). eye_out and eye_in are the identities of
+    widths k and d: the products above layer L and below layer 1. Only the
+    thin products are kept, so layers yielded one at a time are freed one
+    at a time.
     """
     above = [eye_out]
     for w in upper:
         above.append(above[-1] @ w if len(above) > 1 else w)
-    below = [eye_in]
+    below = [eye_in, *held]
     for w in lower:
         below.append(w @ below[-1] if len(below) > 1 else w)
     return above[::-1], below

@@ -94,6 +94,12 @@ CLI_CASES = [
     ("sweep_xavier_seed_order_jobs2", "sweep", ["--jobs", "2"],
      RESIDUAL.replace("seeds = 0", "seeds = 1,0,1")
      + "k = 3\nm = 10\ninit = xavier_normal\naxis = L\nvalues = 5,3,2,6,1\n"),
+    ("sweep_residual_depth_repeats_jobs2", "sweep", ["--jobs", "2"],
+     RESIDUAL.replace("seeds = 0", "seeds = 0,1")
+     + "k = 3\nm = 10\naxis = L\nvalues = 6,3,6,2,8\n"),
+    ("sweep_residual_depth_beta0", "sweep", [],
+     RESIDUAL.replace("beta = 0.5", "beta = 0")
+     + "k = 3\nm = 10\naxis = L\nvalues = 6,3,6,2,8\n"),
     ("sweep_gaussian_failing_cell", "sweep", ["--svg"],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\ninit = gaussian\n"
              "init_sigma = 0.3\naxis = L\nvalues = 3,0,2,4\n"),
