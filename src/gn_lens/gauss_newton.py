@@ -52,8 +52,10 @@ from .network import (
 # from activation kinks and a wider step only reduces cancellation noise.
 _FD_STEP = 1e-6
 
-# Entries of one temporary term while the kd x kd GN is assembled (512 KB).
-_SLAB_ENTRIES = 1 << 16
+# Entries (256 KB) of one chunk of the kd x kd GN while it is assembled, and
+# of each temporary that the chunk needs; also the most entries of Kronecker
+# factors held at once, unless one layer's factors alone are larger.
+_SLAB_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,17 @@ def gn_from_products(params: Params, sigma, products, s_half=None) -> GnMatrix:
     """The GN from `products = layer_products(params, beta)`; sigma's PSD
     square root is computed unless given as `s_half`.
 
+    The GN is sum_l kron(left_l, right_l), with left_l = a a^T (k x k) and
+    right_l = S^(1/2) b^T b S^(1/2) (d x d), symmetrized as 0.5 * (G + G^T).
+    Its d x d block (i, j) is G_ij = sum_l left_l[i, j] * right_l. Each
+    left_l is one symmetric rank update, so exactly symmetric, and
+    G_ji == G_ij bit for bit: both blocks of the symmetrized GN equal
+    0.5 * (G_ij + G_ij^T). So only the block pairs i <= j are summed, a
+    chunk of about _SLAB_ENTRIES entries at a time over all layers, and
+    each chunk is symmetrized and mirrored while it is still in cache.
+    Every entry is 0.0 plus the layers' terms in order, then halved as in
+    the out-of-place formulas, so the bytes are theirs.
+
     Weights too large for float64 overflow in the products or in their
     Gram factors; say so rather than assemble a non-finite GN.
     """
@@ -110,29 +123,79 @@ def gn_from_products(params: Params, sigma, products, s_half=None) -> GnMatrix:
         )
     g = np.zeros((k * d, k * d))
     g4 = g.reshape(k, d, k, d)
-    for a, b in zip(*products):
-        # One layer's factors at a time: with k = 1 each d x d `right` is
-        # as large as the GN.
+    layers = list(zip(*products))
+    # Layers whose factors are held at once: one when a layer's factors
+    # fill _SLAB_ENTRIES, as with k = 1 and a wide input, where each d x d
+    # right factor is as large as the GN.
+    group = max(1, _SLAB_ENTRIES // (k * k + d * d))
+    whole_blocks = d * d <= _SLAB_ENTRIES
+    for start in range(0, len(layers), group):
         with np.errstate(over="ignore", invalid="ignore"):
-            left, right = a @ a.T, s_half @ (b.T @ b) @ s_half
-        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            factors = [(a @ a.T, s_half @ (b.T @ b) @ s_half)
+                       for a, b in layers[start:start + group]]
+        if not all(np.isfinite(f).all() for pair in factors for f in pair):
             raise NumericError("the products of the weight matrices overflow "
                                "float64; the weights are too large")
-        # Sum kron(left, right) into g through its (k, d, k, d) view,
-        # g4[i, p, j, q] += left[i, j] * right[p, q]: the same products and
-        # sums as np.kron, but in slabs along the longer of k and d, each of
-        # about _SLAB_ENTRIES entries (or one index), not a kd x kd term.
-        if k >= d:
-            step = max(1, _SLAB_ENTRIES // (d * k * d))
-            for i in range(0, k, step):
-                g4[i:i + step] += (left[i:i + step, None, :, None]
-                                   * right[:, None, :])
+        last = start + group >= len(layers)
+        for rows, cols, ps in _pair_chunks(k, d):
+            # acc[i, j, p, q] sums left[i, j] * right[p, q] over the layers,
+            # contiguous so that each product runs over whole blocks; g holds
+            # the sums between groups of layers.
+            held = g4[rows, ps, cols].transpose(0, 2, 1, 3)
+            acc = held.copy() if start else np.zeros(held.shape)
+            for left, right in factors:
+                # The outer product left[i, j] * right[p, q]: einsum runs it
+                # about twice as fast as a broadcast multiply. It may give
+                # +0.0 where the multiply gives -0.0, which changes no sum
+                # here: one that starts at +0.0 is never -0.0, and adding
+                # either zero to it leaves it as it is.
+                acc += np.einsum("ij,pq->ijpq", left[rows, cols], right[ps])
+            if last and whole_blocks:
+                s = acc + acc.transpose(0, 1, 3, 2)
+                s *= 0.5
+                # Each folded block is symmetric: its mirror is the same.
+                g4[rows, :, cols] = s.transpose(0, 2, 1, 3)
+                g4[cols, :, rows] = s.transpose(1, 2, 0, 3)
+            else:
+                held[...] = acc
+    if not whole_blocks:
+        # Blocks larger than a chunk were summed in slabs of rows; fold
+        # each one in tiles.
+        for i in range(k):
+            for j in range(i, k):
+                symmetrize_in_place(g4[i, :, j])
+                if j > i:
+                    g4[j, :, i] = g4[i, :, j]
+    return GnMatrix(matrix=g)
+
+
+def _pair_chunks(k: int, d: int):
+    """(rows, cols, ps) slices of G.reshape(k, d, k, d) that together hold
+    every d x d block (i, j) with i <= j, each of about _SLAB_ENTRIES
+    entries: whole block rows i0 <= i < i1 with columns i0 <= j < k (the
+    blocks below the diagonal in it are wasted work), else segments of one
+    block row, else, for blocks larger than that, slabs of rows p of one
+    block."""
+    blocks = _SLAB_ENTRIES // (d * d)
+    if blocks == 0:
+        step = _SLAB_ENTRIES // d
+        for i in range(k):
+            for j in range(i, k):
+                for p in range(0, d, step):
+                    yield (slice(i, i + 1), slice(j, j + 1),
+                           slice(p, min(p + step, d)))
+        return
+    whole = slice(0, d)
+    i = 0
+    while i < k:
+        rows = min(blocks // (k - i), k - i)
+        if rows:
+            yield slice(i, i + rows), slice(i, k), whole
+            i += rows
         else:
-            step = max(1, _SLAB_ENTRIES // (k * k * d))
-            for p in range(0, d, step):
-                g4[:, p:p + step] += (left[:, None, :, None]
-                                      * right[p:p + step, None, :])
-    return GnMatrix(matrix=symmetrize_in_place(g))
+            for j in range(i, k, blocks):
+                yield slice(i, i + 1), slice(j, min(j + blocks, k)), whole
+            i += 1
 
 
 def unit_patterns(V, X, alpha: float) -> UnitActivationPattern:

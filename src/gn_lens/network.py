@@ -122,7 +122,7 @@ class NetworkSpec:
         return lengths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Params:
     """Per-layer weights, optionally with persistent 0/1 pruning masks.
 
@@ -130,11 +130,15 @@ class Params:
     given one; `layer_products` reuses the record's products over the
     leading layers that are still its arrays. Those layers were checked
     finite when drawn and are not checked again; every other layer is.
+
+    Two Params are equal when their layers, and their masks if any, have
+    the same shapes and values; draw is not compared. The arrays can be
+    written to, so a Params has no hash.
     """
 
     layers: tuple[np.ndarray, ...]
     masks: tuple[np.ndarray, ...] | None = None
-    draw: Draw | None = field(default=None, compare=False, repr=False)
+    draw: Draw | None = field(default=None, repr=False)
 
     def __post_init__(self):
         layers = tuple(np.asarray(w, dtype=np.float64) for w in self.layers)
@@ -154,6 +158,22 @@ class Params:
                 if np.any(w[m == 0] != 0):
                     raise ValidationError("masked entries must be exactly zero")
             object.__setattr__(self, "masks", masks)
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Params):
+            return NotImplemented
+        return (_equal_arrays(self.layers, other.layers)
+                and _equal_arrays(self.masks, other.masks))
+
+
+def _equal_arrays(xs, ys) -> bool:
+    """Whether two tuples of arrays match in shapes and values, or are both
+    None."""
+    if xs is None or ys is None:
+        return xs is ys
+    return len(xs) == len(ys) and all(map(np.array_equal, xs, ys))
 
 
 def flatten_layers(arrays) -> np.ndarray | None:

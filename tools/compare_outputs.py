@@ -77,6 +77,16 @@ CLI_CASES = [
     ("analyze_leaky", "analyze", [],
      "data = synthetic\nd = 12\nn = 10\nkind = leaky_one_hidden\nk = 2\n"
      "m = 9\nalpha = 0.1\nseeds = 0,1\n"),
+    # One output and d = 210: each d x d block of the GN is summed in slabs
+    # of rows, one layer's factors at a time.
+    ("analyze_k1_wide", "analyze", ["--spectrum"],
+     "data = synthetic\nd = 210\nn = 420\nkind = linear_deep\nk = 1\n"
+     "m = 12\nL = 4\nseeds = 0\n"),
+    # More outputs than inputs: many small blocks per chunk, and k x k
+    # factors large enough to be held a few layers at a time.
+    ("analyze_k_over_d", "analyze", ["--spectrum"],
+     "data = synthetic\nd = 2\nn = 64\nkind = linear_deep\nk = 130\n"
+     "m = 6\nL = 3\nseeds = 0,1\n"),
     ("sweep_depth", "sweep", ["--svg"],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\naxis = L\nvalues = 1,2,3,5\n"),
     ("sweep_depth_jobs2", "sweep", ["--jobs", "2"],
