@@ -83,7 +83,7 @@ CLI_CASES = [
      "data = synthetic\nd = 210\nn = 420\nkind = linear_deep\nk = 1\n"
      "m = 12\nL = 4\nseeds = 0\n"),
     # More outputs than inputs: many small blocks per chunk, and k x k
-    # factors large enough to be held a few layers at a time.
+    # factors so large that the layers' factors are held one at a time.
     ("analyze_k_over_d", "analyze", ["--spectrum"],
      "data = synthetic\nd = 2\nn = 64\nkind = linear_deep\nk = 130\n"
      "m = 6\nL = 3\nseeds = 0,1\n"),
