@@ -63,7 +63,8 @@ def bound_one_hidden(W, V, sigma) -> BoundReport:
             f"sigma is {sigma.shape[0]}x{sigma.shape[1]}, need {d}x{d} for "
             f"V's {d} columns")
     try:
-        convex = depth_bounds(sigma, layer_products(Params(layers=(v, w))))[0]
+        convex = depth_bounds(layer_products(Params(layers=(v, w))),
+                              _kappa_sigma(sigma))[0]
     except AssumptionError as exc:
         raise DegenerateDataError(str(exc)) from exc
     return replace(convex, extras={"beta_w": convex.terms[0].gamma_l})
@@ -130,31 +131,31 @@ def _depth_terms(products) -> list[LayerTerm]:
     return terms
 
 
-def depth_bounds(sigma, products, kappa_sigma: float | None = None):
-    """The (convex, max) depth bounds from `layer_products(params, beta)`;
-    kappa(Sigma) is computed from sigma unless given."""
+def depth_bounds(products, kappa_sigma: float):
+    """The (convex, max) depth bounds from `layer_products(params, beta)` and
+    kappa(Sigma), the only way they read the data."""
     terms = tuple(_depth_terms(products))
-    ks = _kappa_sigma(sigma) if kappa_sigma is None else kappa_sigma
-    convex = float(ks * sum(t.weighted for t in terms))
-    maximum = float(ks * max(t.kappa2_above * t.kappa2_below for t in terms))
-    return (BoundReport(value=convex, kappa_sigma=ks, terms=terms),
-            BoundReport(value=maximum, kappa_sigma=ks, terms=terms))
+    convex = float(kappa_sigma * sum(t.weighted for t in terms))
+    maximum = float(kappa_sigma
+                    * max(t.kappa2_above * t.kappa2_below for t in terms))
+    return (BoundReport(value=convex, kappa_sigma=kappa_sigma, terms=terms),
+            BoundReport(value=maximum, kappa_sigma=kappa_sigma, terms=terms))
 
 
 def bound_deep_convex(params: Params, sigma) -> BoundReport:
-    return depth_bounds(sigma, layer_products(params, 0.0))[0]
+    return depth_bounds(layer_products(params, 0.0), _kappa_sigma(sigma))[0]
 
 
 def bound_deep_max(params: Params, sigma) -> BoundReport:
-    return depth_bounds(sigma, layer_products(params, 0.0))[1]
+    return depth_bounds(layer_products(params, 0.0), _kappa_sigma(sigma))[1]
 
 
 def bound_residual_convex(params: Params, beta: float, sigma) -> BoundReport:
-    return depth_bounds(sigma, layer_products(params, beta))[0]
+    return depth_bounds(layer_products(params, beta), _kappa_sigma(sigma))[0]
 
 
 def bound_residual_max(params: Params, beta: float, sigma) -> BoundReport:
-    return depth_bounds(sigma, layer_products(params, beta))[1]
+    return depth_bounds(layer_products(params, beta), _kappa_sigma(sigma))[1]
 
 
 def residual_product_bound(singular_spectra, beta: float, ell: int) -> float:
@@ -172,10 +173,9 @@ def residual_product_bound(singular_spectra, beta: float, ell: int) -> float:
     return value
 
 
-def bound_leaky(W, V, X, alpha: float, gamma, x_singular=None) -> BoundReport:
-    """Leaky-ReLU one-hidden bound from the data Gram and the unit-weight
-    Gram matrix produced by gn_leaky; X's singular values (descending) are
-    computed unless given."""
+def bound_leaky(W, X, alpha: float, gamma, x_singular=None) -> BoundReport:
+    """Leaky-ReLU one-hidden bound from W, X and gn_leaky's unit-weight Gram
+    `gamma`; X's singular values (descending) are computed unless given."""
     w = as_matrix(W, "W")
     x = as_matrix(X, "X")
     g = as_matrix(gamma, "gamma")

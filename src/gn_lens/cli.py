@@ -14,6 +14,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields, is_dataclass
+from functools import partial
 
 import numpy as np
 
@@ -207,31 +208,49 @@ def _cov_spectrum(cfg, d: int) -> np.ndarray:
     return values
 
 
+# The keys each data source reads; `whiten` and `eigen_floor` apply to all.
+_SOURCE_KEYS = {
+    "synthetic": {"d", "n", "cov_spectrum", "data_seed"},
+    "csv": {"data_path", "label_column"},
+    "idx": {"data_path", "limit", "data_seed"},
+}
+_DATA_KEYS = set().union(*_SOURCE_KEYS.values())
+
+
 def load_dataset(cfg: dict) -> Dataset:
+    """The config's dataset, whitened if it asks; every data key is checked
+    before any data is synthesized or read."""
     source = cfg.get("data", "synthetic")
+    if source not in _SOURCE_KEYS:
+        raise ConfigError(f"key 'data': unknown source {source!r}")
+    for key in cfg:
+        if key in _DATA_KEYS and key not in _SOURCE_KEYS[source]:
+            raise ConfigError(f"key {key!r}: data = {source} does not read it")
+    if source != "synthetic" and "data_path" not in cfg:
+        raise ConfigError(f"key 'data_path': required by data = {source}")
     if source == "synthetic":
         d = _at_least("d", _as_int(cfg, "d"), 1)
         n = _at_least("n", _as_int(cfg, "n"), 1)
-        ds = synthesize_gaussian(
-            d=d, n=n, covariance_spectrum=_cov_spectrum(cfg, d),
-            seed=_at_least("data_seed", _as_int(cfg, "data_seed", 0), 0),
-        )
+        load = partial(synthesize_gaussian, d=d, n=n,
+                       covariance_spectrum=_cov_spectrum(cfg, d),
+                       seed=_data_seed(cfg))
     elif source == "csv":
-        if "data_path" not in cfg:
-            raise ConfigError("key 'data_path': required by data = csv")
-        ds = load_csv(cfg["data_path"], label_column=_as_bool(cfg, "label_column"))
-    elif source == "idx":
-        if "data_path" not in cfg:
-            raise ConfigError("key 'data_path': required by data = idx")
-        ds = load_idx(
-            cfg["data_path"], limit=_as_int(cfg, "limit", 0),
-            seed=_at_least("data_seed", _as_int(cfg, "data_seed", 0), 0),
-        )
+        load = partial(load_csv, cfg["data_path"],
+                       label_column=_as_bool(cfg, "label_column"))
     else:
-        raise ConfigError(f"key 'data': unknown source {source!r}")
-    if _as_bool(cfg, "whiten"):
-        ds, _ = whiten(ds, eigen_floor=_eigen_floor(cfg))
+        load = partial(load_idx, cfg["data_path"],
+                       limit=_at_least("limit", _as_int(cfg, "limit", 0), 0),
+                       seed=_data_seed(cfg))
+    white = _as_bool(cfg, "whiten")
+    eigen_floor = _eigen_floor(cfg) if white else None
+    ds = load()
+    if white:
+        ds, _ = whiten(ds, eigen_floor=eigen_floor)
     return ds
+
+
+def _data_seed(cfg: dict) -> int:
+    return _at_least("data_seed", _as_int(cfg, "data_seed", 0), 0)
 
 
 def _eigen_floor(cfg: dict) -> float:
@@ -310,6 +329,21 @@ def init_params(spec: NetworkSpec, cfg: dict, seed: int,
     """`network.init` with the config's scheme and sigma."""
     return init(spec, scheme=_init_scheme(cfg), seed=seed,
                 sigma=_init_sigma(cfg), draw=draw)
+
+
+def _check_before_data(cfg: dict, args, trains: bool = False,
+                       axis: str | None = None):
+    """(kind, rank policy, seeds), with the init checked and, for a command
+    that trains, the training keys: every check that needs no data, so that
+    a config is refused before any data is loaded."""
+    kind = check_kind(cfg, trains=trains, axis=axis)
+    policy = parse_rank_policy(cfg.get("rank_policy", "default"))
+    seeds = _seeds(cfg, args)
+    _init_scheme(cfg)
+    _init_sigma(cfg)
+    if trains:
+        _train_config(cfg, 0)
+    return kind, policy, seeds
 
 
 def _seeds(cfg: dict, args) -> list[int]:
@@ -498,11 +532,10 @@ def render_svg(series, title: str, x_label: str, y_label: str) -> str:
 
 
 def cmd_analyze(cfg: dict, out_dir: str, args) -> int:
+    _, policy, seeds = _check_before_data(cfg, args)
+    seed = seeds[0]
     ds = load_dataset(cfg)
-    check_kind(cfg)
     spec = build_spec(cfg, ds.d)
-    policy = parse_rank_policy(cfg.get("rank_policy", "default"))
-    seed = _seeds(cfg, args)[0]
     params = init_params(spec, cfg, seed)
     result = evaluate_instance(spec, params, ds, policy)
     row = _row(cfg.get("experiment", "analyze"), seed, spec, ds, policy,
@@ -531,24 +564,20 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
             raise ConfigError(f"key 'values': axis {axis} takes integers, "
                               f"got {cfg['values']!r}")
         values = [int(v) for v in values]
-    seeds = _seeds(cfg, args)
+    kind, policy, seeds = _check_before_data(cfg, args, axis=axis)
     jobs = _at_least("--jobs", args.jobs, 0)
     ds = load_dataset(cfg)
-    policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     label = cfg.get("experiment", "sweep")
-    # A bad init or init_sigma, a kind `check_kind` refuses, a missing key, or
-    # an aligned init failing on widths no axis but L and m changes fails or
-    # mislabels every cell alike: report it once.
-    scheme = _init_scheme(cfg)
-    _init_sigma(cfg)
-    kind = check_kind(cfg, axis=axis)
+    # A missing key, or an aligned init failing on widths no axis but L and m
+    # changes, fails or mislabels every cell alike: report it once.
     try:
         spec = build_spec(cfg, ds.d, overrides={axis: values[0]})
     except ConfigKeyError:
         raise
     except GnLensError:
         spec = None  # a bad axis value fails only its own cells
-    if spec is not None and scheme == "aligned_svd" and axis not in ("L", "m"):
+    if (spec is not None and _init_scheme(cfg) == "aligned_svd"
+            and axis not in ("L", "m")):
         init_params(spec, cfg, seeds[0])
     # What the cells read of the dataset, built once for all of them.
     terms = data_terms(ds, kind)
@@ -621,11 +650,9 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
 
 
 def cmd_train(cfg: dict, out_dir: str, args) -> int:
+    _, policy, seeds = _check_before_data(cfg, args, trains=True)
     ds = load_dataset(cfg)
-    check_kind(cfg, trains=True)
     spec = build_spec(cfg, ds.d)
-    policy = parse_rank_policy(cfg.get("rank_policy", "default"))
-    seeds = _seeds(cfg, args)
     label = cfg.get("experiment", "train")
     with_targets = _teacher_targets(cfg, spec, ds)
     terms = data_terms(ds, spec.kind)
@@ -655,16 +682,14 @@ def cmd_train(cfg: dict, out_dir: str, args) -> int:
 
 
 def cmd_prune(cfg: dict, out_dir: str, args) -> int:
-    ds = load_dataset(cfg)
-    check_kind(cfg, trains=True)
-    spec = build_spec(cfg, ds.d)
-    policy = parse_rank_policy(cfg.get("rank_policy", "default"))
-    seeds = _seeds(cfg, args)
+    _, policy, seeds = _check_before_data(cfg, args, trains=True)
     fractions = [_checked("fractions", f, 0 <= f <= 1, "in [0, 1]")
                  for f in _as_float_list(cfg, "fractions", [0.0, 0.5, 0.9])]
     if not fractions:
         raise ConfigError(
             f"key 'fractions' lists no fraction: {cfg['fractions']!r}")
+    ds = load_dataset(cfg)
+    spec = build_spec(cfg, ds.d)
     label = cfg.get("experiment", "prune")
     with_targets = _teacher_targets(cfg, spec, ds)
     results = pruning_experiment(
@@ -686,8 +711,8 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
 
 
 def cmd_whiten(cfg: dict, out_dir: str, args) -> int:
-    ds = load_dataset({**cfg, "whiten": "false"})
     eigen_floor = _eigen_floor(cfg)
+    ds = load_dataset({**cfg, "whiten": "false"})
     white, report = whiten(ds, eigen_floor=eigen_floor)
     write_csv(os.path.join(out_dir, "whitened.csv"), white)
     write_rows(

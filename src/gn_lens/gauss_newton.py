@@ -75,12 +75,14 @@ class UnitActivationPattern:
 
 def gn_linear(params: Params, sigma) -> GnMatrix:
     """kd x kd reduced GN of a deep linear network for input covariance sigma."""
-    return gn_from_products(params, sigma, gn_layer_products(params, 0.0))
+    return gn_residual(params, 0.0, sigma)
 
 
 def gn_residual(params: Params, beta: float, sigma) -> GnMatrix:
-    """Same assembly as gn_linear with beta-shifted partial products."""
-    return gn_from_products(params, sigma, gn_layer_products(params, beta))
+    """gn_linear's GN with beta-shifted products, built before Sigma^(1/2)."""
+    products = gn_layer_products(params, beta)
+    s_half = psd_sqrt(as_matrix(sigma, "sigma"))
+    return gn_from_products(params, products, s_half)
 
 
 def gn_layer_products(params: Params, beta: float):
@@ -95,9 +97,9 @@ def gn_layer_products(params: Params, beta: float):
         return layer_products(params, beta)
 
 
-def gn_from_products(params: Params, sigma, products, s_half=None) -> GnMatrix:
-    """The GN from `products = layer_products(params, beta)`; sigma's PSD
-    square root is computed unless given as `s_half`.
+def gn_from_products(params: Params, products, s_half) -> GnMatrix:
+    """The GN from `products = layer_products(params, beta)` and the PSD
+    square root `s_half` of the input covariance, all it reads of the data.
 
     The GN is sum_l kron(left_l, right_l), with left_l = a a^T (k x k) and
     right_l = S^(1/2) b^T b S^(1/2) (d x d), symmetrized as 0.5 * (G + G^T).
@@ -115,8 +117,6 @@ def gn_from_products(params: Params, sigma, products, s_half=None) -> GnMatrix:
     """
     k = params.layers[-1].shape[0]
     d = params.layers[0].shape[1]
-    if s_half is None:
-        s_half = psd_sqrt(as_matrix(sigma, "sigma"))
     if s_half.shape[0] != d:
         raise DimensionError(
             f"sigma is {s_half.shape[0]}x{s_half.shape[0]} but input width is {d}"
@@ -304,11 +304,11 @@ def gn_from_jacobian(spec: NetworkSpec, params: Params, X,
     n = x.shape[1]
     scale = 1.0 / n if include_n_factor else 1.0
     if jac.shape[1] <= jac.shape[0]:
-        g = jac.T @ jac  # p x p
+        g = jac.T @ jac  # p x p; one SYRK, so exactly symmetric
     else:
-        g = jac @ jac.T  # kn x kn
+        g = jac @ jac.T  # kn x kn; likewise
     g *= scale
-    return GnMatrix(matrix=symmetrize_in_place(g))
+    return GnMatrix(matrix=g)
 
 
 def gn_conv(lifted_layers, sigma) -> GnMatrix:
@@ -361,7 +361,7 @@ def gn_conv_shared(spec: NetworkSpec, params: Params, sigma) -> GnMatrix:
         block = np.einsum("cai,bijt->cjabt", above, window)
         blocks.append(block.reshape(-1, mo * mi * kf))
     jac = np.hstack(blocks)
-    return GnMatrix(matrix=symmetrize_in_place(jac.T @ jac))
+    return GnMatrix(matrix=jac.T @ jac)  # one SYRK: exactly symmetric
 
 
 def functional_hessian_spectrum(W, V, sigma, teacher: TeacherSpec):

@@ -192,11 +192,9 @@ class Metrics:
 
 @dataclass(frozen=True)
 class DataTerms:
-    """Sigma and kappa(Sigma), plus Sigma^(1/2) for the product-form kinds or
-    the singular values of X for `leaky_one_hidden`: what evaluations read of
-    the dataset, shared read-only by all of them."""
+    """kappa(Sigma), and Sigma^(1/2) or for `leaky_one_hidden` the singular
+    values of X: all that evaluations read of the data, shared read-only."""
 
-    sigma: np.ndarray
     kappa_sigma: float
     sigma_half: np.ndarray | None = None
     x_singular: np.ndarray | None = None
@@ -209,9 +207,9 @@ def data_terms(ds: Dataset, kind: str) -> DataTerms:
     sigma = empirical_covariance(ds)
     extra = ({"x_singular": svdvals(ds.X)} if kind == LEAKY_ONE_HIDDEN
              else {"sigma_half": psd_sqrt(sigma)})
-    for a in (sigma, *extra.values()):
+    for a in extra.values():
         a.flags.writeable = False
-    return DataTerms(sigma, pseudo_condition_number(sym_eigendecompose(sigma)),
+    return DataTerms(pseudo_condition_number(sym_eigendecompose(sigma)),
                      **extra)
 
 
@@ -232,7 +230,7 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
         gn, gamma = gn_leaky(w, v, ds.X, spec.alpha)
         terms = terms or data_terms(ds, spec.kind)
         try:
-            bounds["bound_other"] = bound_leaky(w, v, ds.X, spec.alpha, gamma,
+            bounds["bound_other"] = bound_leaky(w, ds.X, spec.alpha, gamma,
                                                 terms.x_singular).value
         except DegenerateDataError:
             # Valid only when the data Gram and unit-weight Gram are both
@@ -247,12 +245,11 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
         # GN and the depth bounds.
         products = gn_layer_products(params, spec.skip)
         terms = terms or data_terms(ds, spec.kind)
-        spectrum = gn_from_products(params, terms.sigma, products,
+        spectrum = gn_from_products(params, products,
                                     terms.sigma_half).spectrum()
         kappa = pseudo_condition_number(spectrum, policy)
         try:
-            convex, maximum = depth_bounds(terms.sigma, products,
-                                           terms.kappa_sigma)
+            convex, maximum = depth_bounds(products, terms.kappa_sigma)
             bounds = dict(bound_convex=convex.value, bound_max=maximum.value,
                           terms=convex.terms)
         except AssumptionError:
@@ -270,9 +267,10 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
 
     Deterministic given cfg.seed (one seeded permutation per epoch,
     drop-last partial batches). Divergence truncates the trace with a flag
-    instead of raising. Every checkpoint reads `terms` (`checkpoint_metrics`).
+    instead of raising. Every checkpoint reads one `terms`, built if absent.
     """
     _check_training(spec, ds)
+    terms = terms or data_terms(ds, spec.kind)
     rng = np.random.default_rng(cfg.seed)
     x_all, y_all = ds.X, ds.Y
     n = ds.n
@@ -376,9 +374,10 @@ def pruning_experiment(spec: NetworkSpec, ds: Dataset, fractions, seeds,
     fraction of 1) is the error that failed it, not raised.
 
     Each cell trains with cfg under its own seed; init_sigma is the `sigma`
-    of `network.init`; `terms` as in `train`.
+    of `network.init`; `terms` as in `train`, built once for every cell.
     """
     _check_training(spec, ds)
+    terms = terms or data_terms(ds, spec.kind)
     cells = []
     for seed in seeds:
         base = init(spec, scheme=scheme, seed=seed, sigma=init_sigma)

@@ -158,8 +158,7 @@ def test_02_bound_chain_validity():
         x = rng.standard_normal((d, n))
         gn, gamma = gn_leaky(params.layers[1], params.layers[0], x, alpha)
         kappa = kappa_of(gn, RankPolicy.analytic(k * n))
-        value = bound_leaky(params.layers[1], params.layers[0], x, alpha,
-                            gamma).value
+        value = bound_leaky(params.layers[1], x, alpha, gamma).value
         total += 1
         violations += not kappa <= value * (1 + 1e-10)
     ok = violations == 0 and total == 1000
@@ -319,7 +318,7 @@ def test_08_leaky_linear_consistency_and_width_trend():
             gn, gamma = gn_leaky(w, v, x8, 0.01)
             kappa = pseudo_condition_number(gn.spectrum(),
                                             RankPolicy.analytic(20))
-            ratios.append(bound_leaky(w, v, x8, 0.01, gamma).value / kappa)
+            ratios.append(bound_leaky(w, x8, 0.01, gamma).value / kappa)
         medians.append(float(np.median(ratios)))
     decreasing = all(a > b for a, b in zip(medians, medians[1:]))
     ok = worst < 1e-6 and decreasing

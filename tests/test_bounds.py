@@ -172,7 +172,7 @@ class TestLeakyBound:
         v = np.abs(rng.standard_normal((1, 4)))
         w = np.array([[2.0]])
         gn, gamma = gn_leaky(w, v, x, alpha=1.0)
-        report = bound_leaky(w, v, x, 1.0, gamma)
+        report = bound_leaky(w, x, 1.0, gamma)
         sx = np.linalg.svd(x, compute_uv=False)
         gspec = np.linalg.eigvalsh(gamma)
         expect = (sx[0] ** 2 * 4.0 + gspec[-1]) / (sx[-1] ** 2 * 4.0 + gspec[0])
@@ -190,7 +190,7 @@ class TestLeakyBound:
                 gn, gamma = gn_leaky(w, v, x, alpha)
                 kappa = pseudo_condition_number(
                     gn.spectrum(), RankPolicy.analytic(k * n))
-                value = bound_leaky(w, v, x, alpha, gamma).value
+                value = bound_leaky(w, x, alpha, gamma).value
                 assert kappa <= value * (1 + 1e-10)
 
     def test_degenerate_denominator(self):
@@ -199,7 +199,7 @@ class TestLeakyBound:
         w = np.zeros((1, 3))
         gn, gamma = gn_leaky(w, v, x, 0.01)
         with pytest.raises(DegenerateDataError):
-            bound_leaky(w, v, x, 0.01, gamma)
+            bound_leaky(w, x, 0.01, gamma)
 
 
 class TestGaussianBounds:

@@ -151,9 +151,9 @@ def test_the_shared_arrays_are_read_only():
     ds = synthesize_gaussian(d=4, n=9, covariance_spectrum=np.ones(4), seed=0)
     for kind in ("linear_deep", "leaky_one_hidden"):
         terms = data_terms(ds, kind)
-        shared = [a for a in (terms.sigma, terms.sigma_half, terms.x_singular)
+        shared = [a for a in (terms.sigma_half, terms.x_singular)
                   if a is not None]
-        assert len(shared) == 2
+        assert len(shared) == 1
         for a in shared:
             with pytest.raises(ValueError):
                 a[0] = 1.0

@@ -12,6 +12,7 @@ from gn_lens import (
     empirical_covariance,
     lift_conv,
     psd_sqrt,
+    pseudo_condition_number,
     sym_eigendecompose,
     synthesize_gaussian,
 )
@@ -52,8 +53,9 @@ def test_checkpoint_metrics_evaluates_the_depth_bounds_once(monkeypatch,
     assert len(calls) == 1
     if kind == "linear_conv":
         params = Params(layers=tuple(lift_conv(spec, params)))
-    convex, maximum = depth_bounds(empirical_covariance(ds),
-                                   layer_products(params, spec.skip))
+    convex, maximum = depth_bounds(
+        layer_products(params, spec.skip),
+        pseudo_condition_number(sym_eigendecompose(empirical_covariance(ds))))
     assert metrics.kappa_sigma == convex.kappa_sigma == maximum.kappa_sigma
     assert metrics.bound_convex == convex.value
     assert metrics.bound_max == maximum.value

@@ -68,7 +68,7 @@ def test_one_svdvals_call_per_product_shape(monkeypatch, name):
         return per_product_svdvals(m)
 
     monkeypatch.setattr(bounds, "svdvals", counting)
-    depth_bounds(sigma_for(products), products)
+    depth_bounds(products, bounds._kappa_sigma(sigma_for(products)))
     assert len(calls) == len(shapes)
     assert {c[1:] for c in calls} == shapes
 
@@ -98,7 +98,7 @@ def kappa2(smax, smin):
 def test_stacked_bounds_equal_a_per_product_loop(monkeypatch, name, seed):
     products = products_of(name, seed)
     sigma = sigma_for(products, seed)
-    stacked = depth_bounds(sigma, products)
+    stacked = depth_bounds(products, bounds._kappa_sigma(sigma))
     # Each term reads its own products, also where an above and a below
     # product share a stack (k = m = d). repr gives each float's shortest
     # round-trip form, so equal reprs are equal bits.
@@ -108,7 +108,8 @@ def test_stacked_bounds_equal_a_per_product_loop(monkeypatch, name, seed):
             for a, b in per_product_extremes(products)]
     assert repr(got) == repr(want)
     monkeypatch.setattr(bounds, "svdvals", per_product_svdvals)
-    assert repr(stacked) == repr(depth_bounds(sigma, products))
+    assert repr(stacked) == repr(depth_bounds(products,
+                                              bounds._kappa_sigma(sigma)))
 
 
 @pytest.mark.parametrize("w_shape, v_shape, d_sigma", [

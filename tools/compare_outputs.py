@@ -7,7 +7,8 @@ Each case is one `gn_lens.cli` invocation, or one library script that saves
 GN matrices, spectra and bound values as raw float64 files, run once per
 tree in a fresh interpreter with that tree on PYTHONPATH and BLAS pinned to
 one thread. The cases cover every command and kind, every rank policy mode,
-CSV data with a label column, exit codes 2 and 3, the benchmark's four
+CSV data with a label column, exit codes 2 and 3 (among them data keys
+that the config's source does not read), the benchmark's four
 workload configs (`bench/run.py`, seed 0), the GN builders that the CLI
 does not reach (`gn_conv_shared`, `gn_from_jacobian`) and the library's
 bound functions.
@@ -218,6 +219,12 @@ CLI_CASES = [
     ("exit2_rank_policy_nan", "analyze", [],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
              "rank_policy = relative:nan\n"),
+    ("exit2_csv_unread_synthetic_keys", "analyze", [],
+     CSV_LABEL + "d = 99\nn = 7\ncov_spectrum = ones\nlimit = -4\n"
+                 "kind = linear_deep\nk = 1\nm = 6\nL = 3\n"),
+    ("exit2_synthetic_unread_file_keys", "analyze", [],
+     SMALL + "data_path = ../labels.csv\nlabel_column = true\nlimit = 3\n"
+             "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
     ("exit3_cap", "analyze", [],
      "data = synthetic\nd = 2000\nn = 8\nkind = linear_deep\nk = 600\n"
      "m = 4\nL = 2\nseeds = 0\n"),
@@ -233,6 +240,7 @@ CLI_CASES = [
 # Saves, per builder, the GN matrix and its spectrum as raw float64 files, and
 # per bound function its values (NaN where the bound is undefined).
 LIBRARY_SCRIPT = """
+import inspect
 import sys
 import numpy as np
 import gn_lens as g
@@ -270,6 +278,10 @@ v_wide, w_wide = init(NetworkSpec(kind="linear_deep", dims=(20, 24, 3)),
 v_narrow, w_narrow = p_leaky.layers
 x_few = x[:, :12]
 gamma = g.gn_leaky(w_narrow, v_narrow, x_few, 0.1)[1]
+# Trees before the V argument was dropped take (W, V, X, alpha, gamma).
+leaky_args = ((w_narrow, v_narrow)
+              if "V" in inspect.signature(g.bound_leaky).parameters
+              else (w_narrow,))
 bounds = {
     "bound_one_hidden": [lambda: g.bound_one_hidden(w_wide, v_wide, sigma),
                          lambda: g.bound_one_hidden(w_narrow, v_narrow, sigma)],
@@ -277,7 +289,7 @@ bounds = {
     "bound_deep_max": [lambda: g.bound_deep_max(p_deep, sigma)],
     "bound_residual_convex": [lambda: g.bound_residual_convex(p_res, 0.5, sigma)],
     "bound_residual_max": [lambda: g.bound_residual_max(p_res, 0.5, sigma)],
-    "bound_leaky": [lambda: g.bound_leaky(w_narrow, v_narrow, x_few, 0.1, gamma)],
+    "bound_leaky": [lambda: g.bound_leaky(*leaky_args, x_few, 0.1, gamma)],
 }
 for name, calls in bounds.items():
     values = []
