@@ -81,10 +81,6 @@ ALLOWED_KEYS = {
 }
 
 
-class ConfigKeyError(ConfigError):
-    """A required key is absent: that fails every cell of a sweep alike."""
-
-
 def parse_config(path: str, command: str) -> dict:
     """Read a flat key=value file, rejecting unknown or duplicate keys."""
     allowed = ALLOWED_KEYS[command]
@@ -115,7 +111,7 @@ def _read(cfg, key, default, parse, what):
     """`parse(cfg[key])`, or `default` (None: required) if the key is absent."""
     if key not in cfg:
         if default is None:
-            raise ConfigKeyError(f"missing required key {key!r}")
+            raise ConfigError(f"missing required key {key!r}")
         return default
     try:
         return parse(cfg[key])
@@ -242,6 +238,8 @@ def load_dataset(cfg: dict) -> Dataset:
                        limit=_at_least("limit", _as_int(cfg, "limit", 0), 0),
                        seed=_data_seed(cfg))
     white = _as_bool(cfg, "whiten")
+    if "eigen_floor" in cfg and not white:
+        raise ConfigError("key 'eigen_floor': whiten = false does not read it")
     eigen_floor = _eigen_floor(cfg) if white else None
     ds = load()
     if white:
@@ -258,7 +256,8 @@ def _eigen_floor(cfg: dict) -> float:
     return _checked("eigen_floor", floor, 0 <= floor < 1, "in [0, 1)")
 
 
-_SWEEP_AXES = ("L", "m", "beta", "alpha", "kernel", "filters")
+# Sweep axis -> a value every net reading it accepts (an int: integer axis).
+_SWEEP_AXES = {"L": 2, "m": 1, "beta": 0.0, "alpha": 0.0, "kernel": 1, "filters": 1}
 _NETWORK_KEYS = {key for keys in KINDS.values() for key in keys}
 
 
@@ -284,28 +283,26 @@ def check_kind(cfg: dict, trains: bool = False, axis: str | None = None) -> str:
     return kind
 
 
-def build_spec(cfg: dict, data_d: int, overrides: dict | None = None) -> NetworkSpec:
-    """Assemble a NetworkSpec from config keys (plus per-cell overrides)."""
-    values = dict(cfg)
-    for key, val in (overrides or {}).items():
-        values[key] = str(val)
-    kind = values.get("kind", LINEAR_DEEP)
-    beta = _as_float(values, "beta", 0.0)
-    alpha = _as_float(values, "alpha", 0.01)
+def build_spec(cfg: dict, data_d: int) -> NetworkSpec:
+    """Assemble a NetworkSpec from config keys. A value is the file's text or,
+    for a sweep's axis, a typed number, which `int` and `float` keep as is."""
+    kind = cfg.get("kind", LINEAR_DEEP)
+    beta = _as_float(cfg, "beta", 0.0)
+    alpha = _as_float(cfg, "alpha", 0.01)
     if kind == LINEAR_CONV:
-        filters = _at_least("filters", _as_int(values, "filters"), 1)
-        kernel = _at_least("kernel", _as_int(values, "kernel"), 1)
+        filters = _at_least("filters", _as_int(cfg, "filters"), 1)
+        kernel = _at_least("kernel", _as_int(cfg, "kernel"), 1)
         conv_layers = ((filters, 1, kernel), (filters, filters, kernel))
         return NetworkSpec(kind=kind, dims=(data_d,), conv_layers=conv_layers)
-    if "dims" in values:
-        dims = tuple(_as_int_list(values, "dims"))
+    if "dims" in cfg:
+        dims = tuple(_as_int_list(cfg, "dims"))
         if dims[:1] != (data_d,):
             raise ConfigError(f"key 'dims': must start with the data's "
-                              f"d={data_d}, got {values['dims']!r}")
+                              f"d={data_d}, got {cfg['dims']!r}")
     else:
-        k = _as_int(values, "k")
-        m = _as_int(values, "m")
-        depth = _at_least("L", _as_int(values, "L", 2), 1)
+        k = _as_int(cfg, "k")
+        m = _as_int(cfg, "m")
+        depth = _at_least("L", _as_int(cfg, "L", 2), 1)
         dims = (data_d, *([m] * (depth - 1)), k)
     return NetworkSpec(kind=kind, dims=dims, beta=beta, alpha=alpha)
 
@@ -343,6 +340,7 @@ def _check_before_data(cfg: dict, args, trains: bool = False,
     _init_sigma(cfg)
     if trains:
         _train_config(cfg, 0)
+        _teacher_seed(cfg)
     return kind, policy, seeds
 
 
@@ -555,11 +553,11 @@ def cmd_analyze(cfg: dict, out_dir: str, args) -> int:
 def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     axis = cfg.get("axis")
     if axis not in _SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
+        raise ConfigError(f"axis must be one of {tuple(_SWEEP_AXES)}, got {axis!r}")
     values = _as_float_list(cfg, "values")
     if not values:
         raise ConfigError("sweep values must be non-empty")
-    if axis in ("L", "m", "kernel", "filters"):
+    if isinstance(_SWEEP_AXES[axis], int):
         if not all(v.is_integer() for v in values):
             raise ConfigError(f"key 'values': axis {axis} takes integers, "
                               f"got {cfg['values']!r}")
@@ -568,16 +566,10 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     jobs = _at_least("--jobs", args.jobs, 0)
     ds = load_dataset(cfg)
     label = cfg.get("experiment", "sweep")
-    # A missing key, or an aligned init failing on widths no axis but L and m
-    # changes, fails or mislabels every cell alike: report it once.
-    try:
-        spec = build_spec(cfg, ds.d, overrides={axis: values[0]})
-    except ConfigKeyError:
-        raise
-    except GnLensError:
-        spec = None  # a bad axis value fails only its own cells
-    if (spec is not None and _init_scheme(cfg) == "aligned_svd"
-            and axis not in ("L", "m")):
+    # What fails at the neutral axis value, or in an aligned init on widths no
+    # axis but L and m changes, fails every cell alike: refuse it once.
+    spec = build_spec({**cfg, axis: _SWEEP_AXES[axis]}, ds.d)
+    if _init_scheme(cfg) == "aligned_svd" and axis not in ("L", "m"):
         init_params(spec, cfg, seeds[0])
     # What the cells read of the dataset, built once for all of them.
     terms = data_terms(ds, kind)
@@ -589,7 +581,7 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
         """The cell's row, or the error that failed it."""
         value, seed = cell
         try:
-            spec = build_spec(cfg, ds.d, overrides={axis: value})
+            spec = build_spec({**cfg, axis: value}, ds.d)
             if not hasattr(workers, "draw"):
                 workers.draw = Draw()
             params = init_params(spec, cfg, seed, workers.draw)
@@ -633,10 +625,19 @@ def _teacher_targets(cfg: dict, spec: NetworkSpec, ds: Dataset) -> Dataset:
                               f"{ds.Y.shape[0]} target row(s), but the "
                               f"network has k = {k} outputs")
         return ds
-    rng = np.random.default_rng(
-        _at_least("teacher_seed", _as_int(cfg, "teacher_seed", 10_000), 0))
+    rng = np.random.default_rng(_teacher_seed(cfg))
     z = rng.standard_normal((k, ds.d)) / np.sqrt(ds.d)
     return Dataset(X=ds.X, Y=z @ ds.X)
+
+
+def _teacher_seed(cfg: dict) -> int:
+    """The seed of the teacher targets, which only data without labels reads;
+    `data = csv` with `label_column = true` alone has labels."""
+    if ("teacher_seed" in cfg and cfg.get("data") == "csv"
+            and _as_bool(cfg, "label_column")):
+        raise ConfigError(
+            "key 'teacher_seed': label_column = true does not read it")
+    return _at_least("teacher_seed", _as_int(cfg, "teacher_seed", 10_000), 0)
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
@@ -712,7 +713,8 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
 
 def cmd_whiten(cfg: dict, out_dir: str, args) -> int:
     eigen_floor = _eigen_floor(cfg)
-    ds = load_dataset({**cfg, "whiten": "false"})
+    ds = load_dataset({key: value for key, value in cfg.items()
+                       if key not in ("whiten", "eigen_floor")})
     white, report = whiten(ds, eigen_floor=eigen_floor)
     write_csv(os.path.join(out_dir, "whitened.csv"), white)
     write_rows(

@@ -7,8 +7,10 @@ Each case is one `gn_lens.cli` invocation, or one library script that saves
 GN matrices, spectra and bound values as raw float64 files, run once per
 tree in a fresh interpreter with that tree on PYTHONPATH and BLAS pinned to
 one thread. The cases cover every command and kind, every rank policy mode,
-CSV data with a label column, exit codes 2 and 3 (among them data keys
-that the config's source does not read), the benchmark's four
+CSV data with a label column, exit codes 2 and 3 (among the exit 2 cases
+data keys that the config's source does not read, an `eigen_floor` without
+`whiten`, a `teacher_seed` beside a label column, and sweeps whose error is
+in a key the axis does not set), the benchmark's four
 workload configs (`bench/run.py`, seed 0), the GN builders that the CLI
 does not reach (`gn_conv_shared`, `gn_from_jacobian`) and the library's
 bound functions.
@@ -225,6 +227,15 @@ CLI_CASES = [
     ("exit2_synthetic_unread_file_keys", "analyze", [],
      SMALL + "data_path = ../labels.csv\nlabel_column = true\nlimit = 3\n"
              "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
+    ("exit2_sweep_width_zero_beta", "sweep", [],
+     RESIDUAL + "k = 3\nm = 0\nL = 3\naxis = beta\nvalues = 0,0.5\n"),
+    ("exit2_sweep_dims_off_d", "sweep", [],
+     SMALL + "kind = residual\ndims = 5,7,7,2\naxis = beta\nvalues = 0,0.5\n"),
+    ("exit2_eigen_floor_without_whiten", "analyze", [],
+     SMALL + "eigen_floor = nan\nkind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
+    ("exit2_teacher_seed_label_column", "train", [],
+     CSV_LABEL + TRAIN + "teacher_seed = -3\nkind = linear_deep\nk = 1\n"
+                         "m = 6\nL = 3\n"),
     ("exit3_cap", "analyze", [],
      "data = synthetic\nd = 2000\nn = 8\nkind = linear_deep\nk = 600\n"
      "m = 4\nL = 2\nseeds = 0\n"),
