@@ -19,7 +19,7 @@ from .linalg import (
     svdvals,
     sym_eigendecompose,
 )
-from .network import Params, TeacherSpec, layer_products
+from .network import Draw, Params, TeacherSpec, held_slots, layer_products
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def bound_one_hidden(W, V, sigma) -> BoundReport:
     return replace(convex, extras={"beta_w": convex.terms[0].gamma_l})
 
 
-def _depth_terms(products) -> list[LayerTerm]:
+def _depth_terms(products, draw: Draw | None = None) -> list[LayerTerm]:
     """Per-layer terms from `products = layer_products(params, beta)`. The GN
     reads the k x k Gram of the product above ell and the d x d Gram of the
     one below; where that Gram is singular, sigma_min counts as 0.
@@ -78,13 +78,18 @@ def _depth_terms(products) -> list[LayerTerm]:
     Products of one shape share one `svdvals` call on their stack and one
     cutoff. NumPy runs each slice of a stack through the LAPACK call it
     makes for that slice alone, so every value is the same bit for bit.
+    A below product that is one of `draw`'s held arrays takes the pair held
+    beside it, and leaves there the pair derived here.
     """
     above, below = products
     flat = [(p, p.shape[0]) for p in above] + [(p, p.shape[1]) for p in below]
+    slots = [None] * len(above) + held_slots(draw, below)
+    extremes = [None if slot is None else draw.extremes[slot]
+                for slot in slots]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (p, _) in enumerate(flat):
-        groups.setdefault(p.shape, []).append(i)
-    extremes = [None] * len(flat)
+        if extremes[i] is None:
+            groups.setdefault(p.shape, []).append(i)
     for shape, members in groups.items():
         spectra = svdvals(np.stack([flat[i][0] for i in members]))
         # Singular: fewer singular values than the Gram's size, or the
@@ -93,6 +98,8 @@ def _depth_terms(products) -> list[LayerTerm]:
         for i, s in zip(members, spectra):
             rank_deficient = s.size < flat[i][1] or s[-1] <= factor * s[0]
             extremes[i] = (s[0], 0.0 if rank_deficient else s[-1])
+            if slots[i] is not None:
+                draw.extremes[slots[i]] = extremes[i]
     raw = []
     for ell, pair in enumerate(
             zip(extremes[:len(above)], extremes[len(above):]), start=1):
@@ -131,10 +138,11 @@ def _depth_terms(products) -> list[LayerTerm]:
     return terms
 
 
-def depth_bounds(products, kappa_sigma: float):
+def depth_bounds(products, kappa_sigma: float, draw: Draw | None = None):
     """The (convex, max) depth bounds from `layer_products(params, beta)` and
-    kappa(Sigma), the only way they read the data."""
-    terms = tuple(_depth_terms(products))
+    kappa(Sigma), the only way they read the data; `draw`, the record of
+    `params`, reuses the singular values held beside its products."""
+    terms = tuple(_depth_terms(products, draw))
     convex = float(kappa_sigma * sum(t.weighted for t in terms))
     maximum = float(kappa_sigma
                     * max(t.kappa2_above * t.kappa2_below for t in terms))

@@ -712,6 +712,8 @@ def cmd_prune(cfg: dict, out_dir: str, args) -> int:
 
 
 def cmd_whiten(cfg: dict, out_dir: str, args) -> int:
+    if "whiten" in cfg:
+        _checked("whiten", cfg["whiten"], _as_bool(cfg, "whiten"), "true")
     eigen_floor = _eigen_floor(cfg)
     ds = load_dataset({key: value for key, value in cfg.items()
                        if key not in ("whiten", "eigen_floor")})

@@ -222,6 +222,12 @@ class Draw:
     product of layers[:i + 1], each shifted by beta at beta != 0, as
     `layer_products` built it for a net of these layers; every one was
     built from the record's current layers. Draw() holds no layers.
+
+    Beside below[i], extremes[i] is the (sigma_max, sigma_min or 0) pair
+    the depth bounds derived from it, and rights[i] the (Sigma^(1/2), right
+    factor) pair the GN built from it with that read-only Sigma^(1/2); each
+    is None until derived, and a right factor is held only where it is no
+    larger than its product. They go with their product.
     """
 
     seed: int | None = None
@@ -230,6 +236,22 @@ class Draw:
     states: list[dict] = field(default_factory=list)
     beta: float | None = None
     below: list[np.ndarray] = field(default_factory=list)
+    extremes: list[tuple[float, float] | None] = field(default_factory=list)
+    rights: list[tuple[np.ndarray, np.ndarray] | None] = field(
+        default_factory=list)
+
+    def keep_below(self, count: int) -> None:
+        """Drop the below products past the first `count`, and their terms."""
+        del self.below[count:], self.extremes[count:], self.rights[count:]
+
+
+def held_slots(draw: Draw | None, below) -> list[int | None]:
+    """For each of `layer_products`' below products, the index of the
+    record's held product that it is, if any; the terms held there are
+    its own."""
+    held = draw.below if draw is not None else []
+    return [j - 1 if 0 < j <= len(held) and p is held[j - 1] else None
+            for j, p in enumerate(below)]
 
 
 def _drawn_prefix(layers, draw: Draw | None) -> int:
@@ -269,7 +291,7 @@ def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
             kept += 1
     draw.seed = seed
     del draw.layers[kept:], draw.keys[kept:], draw.states[kept:]
-    del draw.below[kept:]
+    draw.keep_below(kept)
     rng = np.random.default_rng(seed)
     if kept:
         rng.bit_generator.state = draw.states[-1]
@@ -444,7 +466,8 @@ def layer_products(params: Params, beta: float = 0.0):
     over its leading layers that are still the record's arrays are taken
     from the record at the same beta, and only the rest are built: the
     same products of the same arrays, so the same bytes. When all layers
-    are the record's, the products built here are left in it, read-only.
+    are the record's, the products built here are left in it, read-only,
+    with no terms derived yet.
     """
     layers = params.layers
     L = len(layers)
@@ -459,10 +482,13 @@ def layer_products(params: Params, beta: float = 0.0):
         np.eye(layers[-1].shape[0]), np.eye(layers[0].shape[1]), held)
     if shared == L == len(draw.layers):
         if draw.beta != beta:
-            draw.beta, draw.below = beta, []
+            draw.beta = beta
+            draw.keep_below(0)
         for product in below[len(draw.below) + 1:]:
             product.flags.writeable = False
             draw.below.append(product)
+            draw.extremes.append(None)
+            draw.rights.append(None)
     return above, below
 
 

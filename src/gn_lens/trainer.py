@@ -249,7 +249,8 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
                                     terms.sigma_half).spectrum()
         kappa = pseudo_condition_number(spectrum, policy)
         try:
-            convex, maximum = depth_bounds(products, terms.kappa_sigma)
+            convex, maximum = depth_bounds(products, terms.kappa_sigma,
+                                           params.draw)
             bounds = dict(bound_convex=convex.value, bound_max=maximum.value,
                           terms=convex.terms)
         except AssumptionError:

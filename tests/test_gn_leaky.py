@@ -84,3 +84,20 @@ def test_cap_is_checked_before_any_work(monkeypatch):
     assert k * n == DEFAULT_DIM_CAP + 1
     with pytest.raises(DimensionError, match="kn=10001"):
         gn_leaky(np.ones((k, 1)), np.ones((1, 1)), np.ones((1, n)), 0.1)
+
+
+def test_cap_is_checked_before_the_activation_pattern(monkeypatch):
+    class Numpy:
+        """gauss_newton's numpy, with the activation pattern refused."""
+
+        def __getattr__(self, name):
+            if name == "where":
+                raise AssertionError("gn_leaky went past the dimension cap")
+            return getattr(np, name)
+
+    monkeypatch.setattr(gauss_newton, "np", Numpy())
+    k, n = 73, 137
+    with pytest.raises(DimensionError, match="kn=10001"):
+        gn_leaky(np.ones((k, 1)), np.ones((1, 1)), np.ones((1, n)), 0.1)
+    with pytest.raises(AssertionError, match="past the dimension cap"):
+        gn_leaky(np.ones((k, 1)), np.ones((1, 1)), np.ones((1, n - 1)), 0.1)

@@ -252,3 +252,35 @@ def test_no_refusal_synthesizes_or_reads_data(tmp_path, capsys, monkeypatch,
                      "--out", str(tmp_path / "out"), *extra]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert loads == []
+
+
+@pytest.mark.parametrize("value, message", [
+    ("false", "must be true, got 'false'"),
+    ("0", "must be true, got '0'"),
+    ("maybe", "not a boolean: 'maybe'"),
+])
+def test_the_whiten_command_refuses_its_key_unless_true(
+        tmp_path, capsys, monkeypatch, value, message):
+    monkeypatch.setattr(cli, "synthesize_gaussian",
+                        lambda *a, **k: pytest.fail("data was synthesized"))
+    cfg = {"data": "synthetic", "d": "4", "n": "16", "whiten": value}
+    out = tmp_path / "out"
+    assert cli.main(["whiten", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: key 'whiten': {message}\n")
+    assert list(out.iterdir()) == []
+
+
+def test_the_whiten_command_reads_whiten_true_as_no_key(tmp_path):
+    cfg = {"data": "synthetic", "d": "4", "n": "16",
+           "cov_spectrum": "logspace:1,-1"}
+    outputs = []
+    for extra in ({}, {"whiten": "true"}):
+        out = tmp_path / f"out{len(outputs)}"
+        assert cli.main(["whiten", "--config",
+                         write_config(tmp_path, {**cfg, **extra}),
+                         "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("whiten.csv", "whitened.csv")])
+    assert outputs[0] == outputs[1]

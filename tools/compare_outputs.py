@@ -9,8 +9,9 @@ tree in a fresh interpreter with that tree on PYTHONPATH and BLAS pinned to
 one thread. The cases cover every command and kind, every rank policy mode,
 CSV data with a label column, exit codes 2 and 3 (among the exit 2 cases
 data keys that the config's source does not read, an `eigen_floor` without
-`whiten`, a `teacher_seed` beside a label column, and sweeps whose error is
-in a key the axis does not set), the benchmark's four
+`whiten`, a `teacher_seed` beside a label column, `whiten = false` for the
+`whiten` command, and sweeps whose error is in a key the axis does not
+set), the benchmark's four
 workload configs (`bench/run.py`, seed 0), the GN builders that the CLI
 does not reach (`gn_conv_shared`, `gn_from_jacobian`) and the library's
 bound functions.
@@ -110,6 +111,13 @@ CLI_CASES = [
     ("sweep_residual_depth_repeats_jobs2", "sweep", ["--jobs", "2"],
      RESIDUAL.replace("seeds = 0", "seeds = 0,1")
      + "k = 3\nm = 10\naxis = L\nvalues = 6,3,6,2,8\n"),
+    # m = 6 < d = 10: every below product is rank-deficient, and none is
+    # smaller than its d x d right factor.
+    ("sweep_residual_bottleneck_depth", "sweep", [],
+     RESIDUAL.replace("seeds = 0", "seeds = 0,1")
+     + "k = 3\nm = 6\naxis = L\nvalues = 6,3,6,2,8\n"),
+    ("sweep_deep_depth_repeats_jobs2", "sweep", ["--jobs", "2"],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\naxis = L\nvalues = 8,3,8,4\n"),
     ("sweep_residual_depth_beta0", "sweep", [],
      RESIDUAL.replace("beta = 0.5", "beta = 0")
      + "k = 3\nm = 10\naxis = L\nvalues = 6,3,6,2,8\n"),
@@ -206,6 +214,8 @@ CLI_CASES = [
                      "fractions = ,\n"),
     ("exit2_sweep_negative_jobs", "sweep", ["--jobs", "-1"],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\naxis = L\nvalues = 2,3\n"),
+    ("exit2_whiten_false", "whiten", [],
+     SMALL + "cov_spectrum = logspace:2,-2\nwhiten = false\n"),
     ("exit2_whiten_eigen_floor_nan", "whiten", [],
      SMALL + "cov_spectrum = logspace:2,-2\neigen_floor = nan\n"
              "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
