@@ -63,21 +63,26 @@ from .trainer import (
 # Config parsing
 
 
-_COMMON_KEYS = {
-    "experiment", "data", "data_path", "label_column", "limit", "d", "n",
-    "cov_spectrum", "data_seed", "whiten", "eigen_floor", "kind", "dims",
-    "k", "m", "L", "beta", "alpha", "filters", "kernel", "init",
-    "init_sigma", "seeds", "rank_policy",
+# The keys each data source reads; `whiten` and `eigen_floor` apply to all.
+_SOURCE_KEYS = {
+    "synthetic": {"d", "n", "cov_spectrum", "data_seed"},
+    "csv": {"data_path", "label_column"},
+    "idx": {"data_path", "limit", "data_seed"},
 }
-
+_DATA_KEYS = set().union(*_SOURCE_KEYS.values())
+_NETWORK_KEYS = set().union(*KINDS.values())
+# The keys each command reads: `whiten` reads only the data keys.
+_WHITEN_KEYS = {"data", *_DATA_KEYS, "whiten", "eigen_floor"}
+_EVALUATE_KEYS = _WHITEN_KEYS | _NETWORK_KEYS | {
+    "experiment", "kind", "init", "init_sigma", "seeds", "rank_policy"}
 _TRAIN_KEYS = {"lr", "epochs", "batch_size", "trace_every", "teacher_seed"}
 
 ALLOWED_KEYS = {
-    "analyze": _COMMON_KEYS,
-    "sweep": _COMMON_KEYS | {"axis", "values"},
-    "train": _COMMON_KEYS | _TRAIN_KEYS,
-    "prune": _COMMON_KEYS | _TRAIN_KEYS | {"fractions"},
-    "whiten": _COMMON_KEYS,
+    "analyze": _EVALUATE_KEYS,
+    "sweep": _EVALUATE_KEYS | {"axis", "values"},
+    "train": _EVALUATE_KEYS | _TRAIN_KEYS,
+    "prune": _EVALUATE_KEYS | _TRAIN_KEYS | {"fractions"},
+    "whiten": _WHITEN_KEYS,
 }
 
 
@@ -204,15 +209,6 @@ def _cov_spectrum(cfg, d: int) -> np.ndarray:
     return values
 
 
-# The keys each data source reads; `whiten` and `eigen_floor` apply to all.
-_SOURCE_KEYS = {
-    "synthetic": {"d", "n", "cov_spectrum", "data_seed"},
-    "csv": {"data_path", "label_column"},
-    "idx": {"data_path", "limit", "data_seed"},
-}
-_DATA_KEYS = set().union(*_SOURCE_KEYS.values())
-
-
 def load_dataset(cfg: dict) -> Dataset:
     """The config's dataset, whitened if it asks; every data key is checked
     before any data is synthesized or read."""
@@ -258,7 +254,6 @@ def _eigen_floor(cfg: dict) -> float:
 
 # Sweep axis -> a value every net reading it accepts (an int: integer axis).
 _SWEEP_AXES = {"L": 2, "m": 1, "beta": 0.0, "alpha": 0.0, "kernel": 1, "filters": 1}
-_NETWORK_KEYS = {key for keys in KINDS.values() for key in keys}
 
 
 def check_kind(cfg: dict, trains: bool = False, axis: str | None = None) -> str:
@@ -277,6 +272,8 @@ def check_kind(cfg: dict, trains: bool = False, axis: str | None = None) -> str:
     for key in cfg:
         if key in _NETWORK_KEYS and key not in KINDS[kind]:
             raise ConfigError(f"key {key!r}: kind {kind!r} does not read it")
+        if key in ("k", "m", "L") and "dims" in cfg:
+            raise ConfigError(f"key {key!r}: explicit 'dims' leave it unread")
     if cfg.get("init") == "aligned_svd" and kind not in ALIGNED_KINDS:
         raise ConfigError("key 'init': aligned init is defined for "
                           f"linear/residual kinds, not {kind!r}")

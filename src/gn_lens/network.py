@@ -29,12 +29,13 @@ LEAKY_ONE_HIDDEN = "leaky_one_hidden"
 LINEAR_CONV = "linear_conv"
 LINEAR_BN_ONE_HIDDEN = "linear_bn_one_hidden"
 
-# Each kind -> the network keys its config may set (explicit dims leave L and
-# m unread); the kinds `trainer` trains and evaluates, and aligned init draws.
-_DENSE = ("k", "m", "L", "dims")
+# Each kind -> the network keys its config may set (a kind with dims but no L
+# has one hidden layer); the kinds `trainer` trains and evaluates, and aligned
+# init draws.
+_DENSE = ("k", "m", "dims")
 KINDS = {
-    LINEAR_DEEP: _DENSE,
-    RESIDUAL: (*_DENSE, "beta"),
+    LINEAR_DEEP: (*_DENSE, "L"),
+    RESIDUAL: (*_DENSE, "L", "beta"),
     LEAKY_ONE_HIDDEN: (*_DENSE, "alpha"),
     LINEAR_CONV: ("kernel", "filters"),
     LINEAR_BN_ONE_HIDDEN: _DENSE,
@@ -74,6 +75,8 @@ class NetworkSpec:
             if len(dims) != 1 or not self.conv_layers:
                 raise SpecError("conv kind needs dims=(input_length,) and conv_layers")
             convs = tuple(tuple(int(v) for v in c) for c in self.conv_layers)
+            if any(len(c) != 3 or min(c) < 1 for c in convs):
+                raise SpecError("each conv layer needs three integers >= 1")
             object.__setattr__(self, "conv_layers", convs)
             prev_ch = convs[0][1]
             length = dims[0]
@@ -87,7 +90,7 @@ class NetworkSpec:
         else:
             if len(dims) < 2:
                 raise SpecError("dims must list at least input and output width")
-            if self.kind in (LEAKY_ONE_HIDDEN, LINEAR_BN_ONE_HIDDEN) and len(dims) != 3:
+            if "L" not in KINDS[self.kind] and len(dims) != 3:
                 raise SpecError("one-hidden kinds need dims = [d, m, k]")
         if self.kind == RESIDUAL and not 0 <= self.beta < np.inf:
             raise SpecError(f"beta must be finite and >= 0, got {self.beta}")

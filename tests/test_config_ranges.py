@@ -13,7 +13,8 @@ SMALL = {"data": "synthetic", "d": "6", "n": "64", "seeds": "0,1"}
 DEEP = {**SMALL, "kind": "linear_deep", "k": "2", "m": "8", "L": "3"}
 TRAIN = {**DEEP, "lr": "0.01", "epochs": "2", "batch_size": "16"}
 SWEEP = {**DEEP, "axis": "L", "values": "2,3"}
-WHITEN = {**DEEP, "cov_spectrum": "logspace:2,-2"}
+WHITEN = {"data": "synthetic", "d": "6", "n": "64",
+          "cov_spectrum": "logspace:2,-2"}
 
 
 def run(tmp_path, command, cfg, out="out"):

@@ -20,6 +20,7 @@ TRAIN = {**DEEP, "lr": "0.01", "epochs": "2", "batch_size": "8",
 SWEEP = {**DEEP, "axis": "L", "values": "1,2"}
 CONV = {**SMALL, "d": "8", "kind": "linear_conv", "filters": "2",
         "kernel": "3"}
+DIMS = {**SMALL, "kind": "linear_deep", "dims": "4,8,8,2"}
 
 # name -> (command, base config)
 BASES = {
@@ -27,6 +28,7 @@ BASES = {
     "analyze_residual": ("analyze", RESIDUAL),
     "analyze_leaky": ("analyze", LEAKY),
     "analyze_conv": ("analyze", CONV),
+    "analyze_dims": ("analyze", DIMS),
     "train": ("train", TRAIN),
     "sweep_L": ("sweep", SWEEP),
 }
@@ -60,7 +62,7 @@ BAD_VALUES = [
     ("sweep_L", "values", "1e309", "key 'values'"),
     ("sweep_L", "values", "2.5,3", "key 'values'"),
     ("analyze_deep", "cov_spectrum", "1,abc,1,1", "bad cov_spectrum"),
-    ("analyze_deep", "dims", "", "key 'dims'"),
+    ("analyze_dims", "dims", "", "key 'dims'"),
     ("analyze_conv", "filters", "0", "key 'filters'"),
     ("analyze_conv", "kernel", "-1", "key 'kernel'"),
 ]
@@ -96,7 +98,8 @@ BAD_SPECS = {
     "prune_bn": ("prune", TRAIN_BN, (),
                  "'linear_bn_one_hidden' is not trainable"),
     "aligned_unequal_hidden": (
-        "analyze", {**DEEP, "dims": "4,6,8,2", "init": "aligned_svd"}, (),
+        "analyze", {**SMALL, "kind": "linear_deep", "dims": "4,6,8,2",
+                    "init": "aligned_svd"}, (),
         "equal (square) hidden widths"),
     "analyze_bn": ("analyze", {**DEEP, "kind": "linear_bn_one_hidden",
                                "L": "2"}, (), "no analytic GN builder"),

@@ -32,8 +32,8 @@ def forbid(monkeypatch, name):
 # name -> (network keys, axis, sweep values, message). `analyze` runs the same
 # keys with the axis key at the first value.
 SETUP_ERRORS = {
-    "leaky_three_layers": ({"kind": "leaky_one_hidden", "k": "2", "m": "4",
-                            "L": "3"}, "alpha", "0,0.5",
+    "leaky_three_layers": ({"kind": "leaky_one_hidden", "dims": "6,4,4,2"},
+                           "alpha", "0,0.5",
                            "one-hidden kinds need dims = [d, m, k]"),
     "residual_beta_nan": ({"kind": "residual", "k": "2", "m": "4",
                            "beta": "nan"}, "L", "2,3",
@@ -158,7 +158,8 @@ def test_the_keys_each_data_reads_still_run(tmp_path, capsys):
     assert run(tmp_path, "train", {**LABELLED, "data_path": labels,
                                    "label_column": "false",
                                    "teacher_seed": "3"}, "t") == 0
-    assert run(tmp_path, "whiten", {**DEEP, "eigen_floor": "1e-8"}, "w") == 0
+    assert run(tmp_path, "whiten", {"data": "synthetic", "d": "6", "n": "12",
+                                    "eigen_floor": "1e-8"}, "w") == 0
     assert run(tmp_path, "analyze", {**DEEP, "whiten": "true",
                                      "eigen_floor": "1e-8"}, "a") == 0
     assert capsys.readouterr().err == ""

@@ -10,8 +10,9 @@ one thread. The cases cover every command and kind, every rank policy mode,
 CSV data with a label column, exit codes 2 and 3 (among the exit 2 cases
 data keys that the config's source does not read, an `eigen_floor` without
 `whiten`, a `teacher_seed` beside a label column, `whiten = false` for the
-`whiten` command, and sweeps whose error is in a key the axis does not
-set), the benchmark's four
+`whiten` command, sweeps whose error is in a key the axis does not set,
+`k` beside explicit `dims`, `L` on a one-hidden kind and a network key on
+the `whiten` command), the benchmark's four
 workload configs (`bench/run.py`, seed 0), the GN builders that the CLI
 does not reach (`gn_conv_shared`, `gn_from_jacobian`) and the library's
 bound functions.
@@ -52,6 +53,11 @@ LABELS_CSV = "".join(
     for i in range(48))
 CSV_LABEL = ("data = csv\ndata_path = ../labels.csv\nlabel_column = true\n"
              "seeds = 0,1\n")
+# The `whiten` command reads only data keys. The cases `whiten`,
+# `exit2_whiten_false` and `exit2_whiten_eigen_floor_nan` also set `seeds`
+# (and network keys), which trees that refuse unread keys reject; their
+# `_data_only` copies compare the whitening and both refusals.
+WHITEN = "data = synthetic\nd = 6\nn = 64\ncov_spectrum = logspace:2,-2\n"
 
 # (name, command, extra CLI arguments, config text)
 CLI_CASES = [
@@ -219,6 +225,17 @@ CLI_CASES = [
     ("exit2_whiten_eigen_floor_nan", "whiten", [],
      SMALL + "cov_spectrum = logspace:2,-2\neigen_floor = nan\n"
              "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
+    ("whiten_data_only", "whiten", [], WHITEN),
+    ("exit2_whiten_false_data_only", "whiten", [],
+     WHITEN + "whiten = false\n"),
+    ("exit2_whiten_eigen_floor_nan_data_only", "whiten", [],
+     WHITEN + "eigen_floor = nan\n"),
+    ("exit2_whiten_kind", "whiten", [], WHITEN + "kind = abc\n"),
+    ("exit2_k_beside_dims", "analyze", [],
+     SMALL + "kind = linear_deep\ndims = 6,8,2\nk = 2\n"),
+    ("exit2_leaky_L", "analyze", [],
+     "data = synthetic\nd = 12\nn = 10\nkind = leaky_one_hidden\nk = 2\n"
+     "m = 9\nL = 2\nseeds = 0\n"),
     ("exit2_sweep_aligned_leaky_alpha", "sweep", [],
      "data = synthetic\nd = 12\nn = 10\nkind = leaky_one_hidden\nk = 2\n"
      "m = 9\ninit = aligned_svd\naxis = alpha\nvalues = 0,0.5\nseeds = 0\n"),
