@@ -230,8 +230,11 @@ def load_dataset(cfg: dict) -> Dataset:
         load = partial(load_csv, cfg["data_path"],
                        label_column=_as_bool(cfg, "label_column"))
     else:
-        load = partial(load_idx, cfg["data_path"],
-                       limit=_at_least("limit", _as_int(cfg, "limit", 0), 0),
+        limit = _at_least("limit", _as_int(cfg, "limit", 0), 0)
+        if "data_seed" in cfg and limit == 0:
+            raise ConfigError("key 'data_seed': data = idx with limit = 0 "
+                              "does not read it")
+        load = partial(load_idx, cfg["data_path"], limit=limit,
                        seed=_data_seed(cfg))
     white = _as_bool(cfg, "whiten")
     if "eigen_floor" in cfg and not white:
@@ -313,6 +316,11 @@ def _init_scheme(cfg: dict) -> str:
 
 
 def _init_sigma(cfg: dict) -> float:
+    """The `sigma` of `network.init`, which only `init = gaussian` reads;
+    the scheme is checked first."""
+    scheme = _init_scheme(cfg)
+    if "init_sigma" in cfg and scheme != "gaussian":
+        raise ConfigError(f"key 'init_sigma': init = {scheme} does not read it")
     sigma = _as_float(cfg, "init_sigma", 1.0)
     return _checked("init_sigma", sigma, 0 <= sigma < math.inf,
                     "finite and >= 0")
@@ -333,7 +341,6 @@ def _check_before_data(cfg: dict, args, trains: bool = False,
     kind = check_kind(cfg, trains=trains, axis=axis)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     seeds = _seeds(cfg, args)
-    _init_scheme(cfg)
     _init_sigma(cfg)
     if trains:
         _train_config(cfg, 0)
@@ -343,11 +350,11 @@ def _check_before_data(cfg: dict, args, trains: bool = False,
 
 def _seeds(cfg: dict, args) -> list[int]:
     seeds = _as_int_list(cfg, "seeds", [0])
-    if args.seed_override is not None:
-        return [_at_least("--seed-override", args.seed_override, 0)]
     if not seeds:
         raise ConfigError(f"key 'seeds' lists no seed: {cfg['seeds']!r}")
     _at_least("seeds", min(seeds), 0)
+    if args.seed_override is not None:
+        return [_at_least("--seed-override", args.seed_override, 0)]
     return seeds
 
 
@@ -660,18 +667,19 @@ def cmd_train(cfg: dict, out_dir: str, args) -> int:
         params = init_params(spec, cfg, seed)
         _, trace = train(spec, params, with_targets, _train_config(cfg, seed),
                          policy, terms)
-        traces.append((seed, trace))
+        # Only the checkpoints: the trace also holds checkpoint 0's spectrum.
+        traces.append((seed, trace.checkpoints))
         rows += [_row(label, seed, spec, ds, policy, cp, epoch=cp.epoch)
                  for cp in trace.checkpoints]
     write_rows(os.path.join(out_dir, "trace.csv"), RESULT_COLUMNS, rows)
-    if args.svg and any(t.checkpoints for _, t in traces):
+    if args.svg and any(cps for _, cps in traces):
         for name, grab in (("loss", lambda c: c.loss), ("kappa", lambda c: c.kappa)):
             series = [
                 (f"{name} seed {seed}",
-                 [c.epoch for c in t.checkpoints],
-                 [grab(c) for c in t.checkpoints],
-                 [0.0] * len(t.checkpoints))
-                for seed, t in traces if t.checkpoints
+                 [c.epoch for c in cps],
+                 [grab(c) for c in cps],
+                 [0.0] * len(cps))
+                for seed, cps in traces if cps
             ]
             _write_text(os.path.join(out_dir, f"trace_{name}.svg"),
                         render_svg(series, title=f"{label}: {name}",
@@ -750,12 +758,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=0,
                        help="parallel workers for sweep cells (0 = all "
                             "cores); the other commands run serially")
-        p.add_argument("--svg", action="store_true",
-                       help="also render SVG charts")
-        p.add_argument("--spectrum", action="store_true",
-                       help="dump the full eigenvalue list (analyze)")
-        p.add_argument("--seed-override", type=int, default=None,
-                       help="replace the config's seed list with one seed")
+        # `--jobs` aside, a command takes only the flags it reads.
+        if name in ("sweep", "train"):
+            p.add_argument("--svg", action="store_true",
+                           help="also render SVG charts")
+        if name == "analyze":
+            p.add_argument("--spectrum", action="store_true",
+                           help="dump the full eigenvalue list")
+        if name != "whiten":
+            p.add_argument("--seed-override", type=int, default=None,
+                           help="replace the config's seed list with one seed")
     return parser
 
 

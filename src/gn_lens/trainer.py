@@ -85,6 +85,8 @@ class Checkpoint:
 class TrainTrace:
     checkpoints: list[Checkpoint] = field(default_factory=list)
     diverged: bool = False
+    # Checkpoint 0's metrics; None when the initial loss diverged.
+    at_init: Metrics | None = field(default=None, repr=False, compare=False)
 
 
 def mse_loss(spec: NetworkSpec, params: Params, X, Y) -> float:
@@ -284,6 +286,8 @@ def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,
             trace.diverged = True
             return False
         m = checkpoint_metrics(spec, params, ds, policy, terms)
+        if epoch == 0:
+            trace.at_init = m
         trace.checkpoints.append(
             Checkpoint(epoch=epoch, loss=loss, kappa=m.kappa,
                        bound_convex=m.bound_convex, bound_max=m.bound_max,
@@ -374,8 +378,9 @@ def pruning_experiment(spec: NetworkSpec, ds: Dataset, fractions, seeds,
     recorded, and a cell whose evaluation fails (kappa is undefined at a
     fraction of 1) is the error that failed it, not raised.
 
-    Each cell trains with cfg under its own seed; init_sigma is the `sigma`
-    of `network.init`; `terms` as in `train`, built once for every cell.
+    Each cell trains with cfg under its own seed, and `at_init` is its
+    checkpoint 0; init_sigma is the `sigma` of `network.init`; `terms` as
+    in `train`, built once for every cell.
     """
     _check_training(spec, ds)
     terms = terms or data_terms(ds, spec.kind)
@@ -385,9 +390,12 @@ def pruning_experiment(spec: NetworkSpec, ds: Dataset, fractions, seeds,
         for fraction in fractions:
             pruned = prune_by_magnitude(base, fraction)
             try:
-                at_init = checkpoint_metrics(spec, pruned, ds, policy, terms)
                 _, trace = train(spec, pruned, ds, replace(cfg, seed=seed),
                                  policy, terms)
+                # Checkpoint 0 evaluated the pruned net, unless its loss
+                # diverged; the same call raises the same error either way.
+                at_init = trace.at_init or checkpoint_metrics(
+                    spec, pruned, ds, policy, terms)
                 cells.append(PruneCell(fraction=float(fraction),
                                        seed=int(seed), at_init=at_init,
                                        trace=trace))

@@ -27,14 +27,16 @@ def run(tmp_path, command, cfg, out="out"):
 BAD_VALUES = {
     "init_sigma_nan": ("analyze", {**DEEP, "init": "gaussian",
                                    "init_sigma": "nan"}, "init_sigma"),
-    "init_sigma_inf": ("analyze", {**DEEP, "init_sigma": "inf"}, "init_sigma"),
-    "init_sigma_negative": ("analyze", {**DEEP, "init_sigma": "-1"},
-                            "init_sigma"),
-    "train_init_sigma": ("train", {**TRAIN, "init_sigma": "-1"}, "init_sigma"),
-    "prune_init_sigma": ("prune", {**TRAIN, "init_sigma": "nan"},
-                         "init_sigma"),
-    "sweep_init_sigma": ("sweep", {**SWEEP, "init_sigma": "inf"},
-                         "init_sigma"),
+    "init_sigma_inf": ("analyze", {**DEEP, "init": "gaussian",
+                                   "init_sigma": "inf"}, "init_sigma"),
+    "init_sigma_negative": ("analyze", {**DEEP, "init": "gaussian",
+                                        "init_sigma": "-1"}, "init_sigma"),
+    "train_init_sigma": ("train", {**TRAIN, "init": "gaussian",
+                                   "init_sigma": "-1"}, "init_sigma"),
+    "prune_init_sigma": ("prune", {**TRAIN, "init": "gaussian",
+                                   "init_sigma": "nan"}, "init_sigma"),
+    "sweep_init_sigma": ("sweep", {**SWEEP, "init": "gaussian",
+                                   "init_sigma": "inf"}, "init_sigma"),
     "fraction_over_one": ("prune", {**TRAIN, "fractions": "0,1.5"},
                           "fractions"),
     "fraction_negative": ("prune", {**TRAIN, "fractions": "-0.5"},

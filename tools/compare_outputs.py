@@ -11,8 +11,10 @@ CSV data with a label column, exit codes 2 and 3 (among the exit 2 cases
 data keys that the config's source does not read, an `eigen_floor` without
 `whiten`, a `teacher_seed` beside a label column, `whiten = false` for the
 `whiten` command, sweeps whose error is in a key the axis does not set,
-`k` beside explicit `dims`, `L` on a one-hidden kind and a network key on
-the `whiten` command), the benchmark's four
+`k` beside explicit `dims`, `L` on a one-hidden kind, a network key on
+the `whiten` command, a flag the command does not read, `init_sigma` under
+a non-gaussian init, an idx `data_seed` without a positive `limit` and a
+negative `seeds` under `--seed-override`), the benchmark's four
 workload configs (`bench/run.py`, seed 0), the GN builders that the CLI
 does not reach (`gn_conv_shared`, `gn_from_jacobian`) and the library's
 bound functions.
@@ -263,6 +265,21 @@ CLI_CASES = [
     ("exit2_teacher_seed_label_column", "train", [],
      CSV_LABEL + TRAIN + "teacher_seed = -3\nkind = linear_deep\nk = 1\n"
                          "m = 6\nL = 3\n"),
+    ("exit2_analyze_svg", "analyze", ["--svg"],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
+    ("exit2_sweep_spectrum", "sweep", ["--spectrum"],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\naxis = L\nvalues = 2,3\n"),
+    ("exit2_whiten_seed_override", "whiten", ["--seed-override", "3"], WHITEN),
+    ("exit2_init_sigma_kaiming", "analyze", [],
+     SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
+             "init = kaiming_normal\ninit_sigma = 0.1\n"),
+    # No such file: a tree that opens it before the refusal exits 4.
+    ("exit2_idx_data_seed_no_limit", "analyze", [],
+     "data = idx\ndata_path = ../missing.idx\ndata_seed = 5\n"
+     "kind = linear_deep\nk = 2\nm = 4\nL = 2\nseeds = 0\n"),
+    ("exit2_negative_seeds_seed_override", "analyze", ["--seed-override", "3"],
+     SMALL.replace("seeds = 0,1", "seeds = -5")
+     + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
     ("exit3_cap", "analyze", [],
      "data = synthetic\nd = 2000\nn = 8\nkind = linear_deep\nk = 600\n"
      "m = 4\nL = 2\nseeds = 0\n"),
