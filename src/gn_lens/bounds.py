@@ -19,7 +19,7 @@ from .linalg import (
     svdvals,
     sym_eigendecompose,
 )
-from .network import Draw, Params, TeacherSpec, held_slots, layer_products
+from .network import Draw, Params, TeacherSpec, layer_products
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,11 @@ def _depth_terms(products, draw: Draw | None = None) -> list[LayerTerm]:
     """
     above, below = products
     flat = [(p, p.shape[0]) for p in above] + [(p, p.shape[1]) for p in below]
-    slots = [None] * len(above) + held_slots(draw, below)
+    held = draw.below if draw is not None else []
+    # Where each below product is one of the held arrays, its index there.
+    slots = [None] * len(above) + [
+        j - 1 if 0 < j <= len(held) and p is held[j - 1] else None
+        for j, p in enumerate(below)]
     extremes = [None if slot is None else draw.extremes[slot]
                 for slot in slots]
     groups: dict[tuple[int, int], list[int]] = {}

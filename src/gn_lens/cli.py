@@ -13,7 +13,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, fields, is_dataclass
+from dataclasses import astuple, dataclass, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -283,9 +283,11 @@ def check_kind(cfg: dict, trains: bool = False, axis: str | None = None) -> str:
     return kind
 
 
-def build_spec(cfg: dict, data_d: int) -> NetworkSpec:
-    """Assemble a NetworkSpec from config keys. A value is the file's text or,
-    for a sweep's axis, a typed number, which `int` and `float` keep as is."""
+def _spec_before_data(cfg: dict) -> NetworkSpec:
+    """The config's NetworkSpec at a stand-in input width that every check
+    of its keys passes: every network key but `dims` parsed and
+    range-checked, with no data. A value is the file's text or, for a
+    sweep's axis, a typed number, which `int` and `float` keep as is."""
     kind = cfg.get("kind", LINEAR_DEEP)
     beta = _as_float(cfg, "beta", 0.0)
     alpha = _as_float(cfg, "alpha", 0.01)
@@ -293,18 +295,32 @@ def build_spec(cfg: dict, data_d: int) -> NetworkSpec:
         filters = _at_least("filters", _as_int(cfg, "filters"), 1)
         kernel = _at_least("kernel", _as_int(cfg, "kernel"), 1)
         conv_layers = ((filters, 1, kernel), (filters, filters, kernel))
-        return NetworkSpec(kind=kind, dims=(data_d,), conv_layers=conv_layers)
-    if "dims" in cfg:
-        dims = tuple(_as_int_list(cfg, "dims"))
-        if dims[:1] != (data_d,):
-            raise ConfigError(f"key 'dims': must start with the data's "
-                              f"d={data_d}, got {cfg['dims']!r}")
-    else:
+        # The shortest signal that both layers fit.
+        return NetworkSpec(kind=kind, dims=(2 * kernel - 1,),
+                           conv_layers=conv_layers)
+    # Explicit `dims` wait for the data's d; one hidden layer, as every
+    # dense kind takes, stands in for them.
+    widths = (1, 1)
+    if "dims" not in cfg:
         k = _as_int(cfg, "k")
         m = _as_int(cfg, "m")
         depth = _at_least("L", _as_int(cfg, "L", 2), 1)
-        dims = (data_d, *([m] * (depth - 1)), k)
-    return NetworkSpec(kind=kind, dims=dims, beta=beta, alpha=alpha)
+        widths = (*([m] * (depth - 1)), k)
+    return NetworkSpec(kind=kind, dims=(1, *widths), beta=beta, alpha=alpha)
+
+
+def build_spec(cfg: dict, data_d: int) -> NetworkSpec:
+    """Assemble a NetworkSpec from config keys and the data's input width."""
+    spec = _spec_before_data(cfg)
+    if spec.kind == LINEAR_CONV:
+        return replace(spec, dims=(data_d,))
+    if "dims" not in cfg:
+        return replace(spec, dims=(data_d, *spec.dims[1:]))
+    dims = tuple(_as_int_list(cfg, "dims"))
+    if dims[:1] != (data_d,):
+        raise ConfigError(f"key 'dims': must start with the data's "
+                          f"d={data_d}, got {cfg['dims']!r}")
+    return replace(spec, dims=dims)
 
 
 def _init_scheme(cfg: dict) -> str:
@@ -335,9 +351,10 @@ def init_params(spec: NetworkSpec, cfg: dict, seed: int,
 
 def _check_before_data(cfg: dict, args, trains: bool = False,
                        axis: str | None = None):
-    """(kind, rank policy, seeds), with the init checked and, for a command
-    that trains, the training keys: every check that needs no data, so that
-    a config is refused before any data is loaded."""
+    """(kind, rank policy, seeds), with the init, for a command that trains
+    the training keys, and the network keys but `dims` (and a sweep's axis)
+    checked: every check that needs no data, so that a config is refused
+    before any data is loaded."""
     kind = check_kind(cfg, trains=trains, axis=axis)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     seeds = _seeds(cfg, args)
@@ -345,6 +362,7 @@ def _check_before_data(cfg: dict, args, trains: bool = False,
     if trains:
         _train_config(cfg, 0)
         _teacher_seed(cfg)
+    _spec_before_data(cfg if axis is None else {**cfg, axis: _SWEEP_AXES[axis]})
     return kind, policy, seeds
 
 

@@ -41,7 +41,6 @@ from .network import (
     TeacherSpec,
     flatten_layers,
     forward,
-    held_slots,
     layer_products,
     layer_views,
     lift_conv,
@@ -113,11 +112,6 @@ def gn_from_products(params: Params, products, s_half) -> GnMatrix:
     Every entry is 0.0 plus the layers' terms in order, then halved as in
     the out-of-place formulas, so the bytes are theirs.
 
-    A below product that is one of the record's held arrays (`params.draw`)
-    takes the right factor held beside it when that was built from this
-    same `s_half` array. A right factor built here is left there if
-    `s_half` is read-only and the factor is no larger than its product.
-
     Weights too large for float64 overflow in the products or in their
     Gram factors; say so rather than assemble a non-finite GN.
     """
@@ -127,41 +121,21 @@ def gn_from_products(params: Params, products, s_half) -> GnMatrix:
         raise DimensionError(
             f"sigma is {s_half.shape[0]}x{s_half.shape[0]} but input width is {d}"
         )
+    g = np.zeros((k * d, k * d))
+    g4 = g.reshape(k, d, k, d)
     layers = list(zip(*products))
-    draw = params.draw
-    slots = held_slots(draw, products[1])
     # Layers whose factors are held at once: one when a layer's factors
     # fill _SLAB_ENTRIES, as with k = 1 and a wide input, where each d x d
     # right factor is as large as the GN.
     group = max(1, _SLAB_ENTRIES // (k * k + d * d))
     whole_blocks = d * d <= _SLAB_ENTRIES
     for start in range(0, len(layers), group):
-        factors, built = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(start, min(start + group, len(layers))):
-                a, b = layers[j]
-                held = None if slots[j] is None else draw.rights[slots[j]]
-                if held is not None and held[0] is s_half:
-                    right = held[1]
-                else:
-                    right = s_half @ (b.T @ b) @ s_half
-                    built.append((j, right))
-                factors.append((a @ a.T, right))
-        # Held factors were checked when built.
-        if not all(np.isfinite(f).all() for f in
-                   [f for f, _ in factors] + [f for _, f in built]):
+            factors = [(a @ a.T, s_half @ (b.T @ b) @ s_half)
+                       for a, b in layers[start:start + group]]
+        if not all(np.isfinite(f).all() for pair in factors for f in pair):
             raise NumericError("the products of the weight matrices overflow "
                                "float64; the weights are too large")
-        if not s_half.flags.writeable:
-            for j, right in built:
-                if slots[j] is not None and d <= layers[j][1].shape[0]:
-                    draw.rights[slots[j]] = (s_half, right)
-        if start == 0:
-            # After the first factors, so that none the record keeps sits
-            # above the GN in the heap and keeps its pages when it is freed
-            # (3.6 MB more peak RSS on a kd = 768 depth sweep).
-            g = np.zeros((k * d, k * d))
-            g4 = g.reshape(k, d, k, d)
         last = start + group >= len(layers)
         for rows, cols, ps in _pair_chunks(k, d):
             # acc[i, j, p, q] sums left[i, j] * right[p, q] over the layers,

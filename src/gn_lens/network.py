@@ -227,10 +227,8 @@ class Draw:
     built from the record's current layers. Draw() holds no layers.
 
     Beside below[i], extremes[i] is the (sigma_max, sigma_min or 0) pair
-    the depth bounds derived from it, and rights[i] the (Sigma^(1/2), right
-    factor) pair the GN built from it with that read-only Sigma^(1/2); each
-    is None until derived, and a right factor is held only where it is no
-    larger than its product. They go with their product.
+    the depth bounds derived from it, None until derived. It goes with its
+    product.
     """
 
     seed: int | None = None
@@ -240,21 +238,10 @@ class Draw:
     beta: float | None = None
     below: list[np.ndarray] = field(default_factory=list)
     extremes: list[tuple[float, float] | None] = field(default_factory=list)
-    rights: list[tuple[np.ndarray, np.ndarray] | None] = field(
-        default_factory=list)
 
     def keep_below(self, count: int) -> None:
-        """Drop the below products past the first `count`, and their terms."""
-        del self.below[count:], self.extremes[count:], self.rights[count:]
-
-
-def held_slots(draw: Draw | None, below) -> list[int | None]:
-    """For each of `layer_products`' below products, the index of the
-    record's held product that it is, if any; the terms held there are
-    its own."""
-    held = draw.below if draw is not None else []
-    return [j - 1 if 0 < j <= len(held) and p is held[j - 1] else None
-            for j, p in enumerate(below)]
+        """Drop the below products past the first `count`, and their pairs."""
+        del self.below[count:], self.extremes[count:]
 
 
 def _drawn_prefix(layers, draw: Draw | None) -> int:
@@ -491,7 +478,6 @@ def layer_products(params: Params, beta: float = 0.0):
             product.flags.writeable = False
             draw.below.append(product)
             draw.extremes.append(None)
-            draw.rights.append(None)
     return above, below
 
 

@@ -1,8 +1,8 @@
 """A `Draw` record keeps, beside each below product it holds, the
-(sigma_max, sigma_min or 0) pair the depth bounds derived from it and the GN
-right factor built from it with a read-only Sigma^(1/2). A depth-sweep cell
-derives both only for the products that are new to its seed; every row and
-every evaluation stays byte-identical to a fresh init with no record."""
+(sigma_max, sigma_min or 0) pair the depth bounds derived from it. A
+depth-sweep cell derives pairs only for the products that are new to its
+seed, and builds one GN right factor per layer; every row and every
+evaluation stays byte-identical to a fresh init with no record."""
 
 import numpy as np
 import pytest
@@ -119,15 +119,14 @@ def test_a_cell_derives_terms_only_for_its_new_products(spy_svdvals):
         got = _fingerprint(checkpoint_metrics(spec, params, ds, None, terms))
         counts.append((sum(spy_svdvals), CountedHalf.built))
         assert got == _fresh(spec, params, ds, terms)
-        assert len(draw.extremes) == len(draw.rights) == len(draw.below) == L - 1
-        assert None not in draw.extremes and None not in draw.rights
-        assert all(half is terms.sigma_half for half, _ in draw.rights)
+        assert len(draw.extremes) == len(draw.below) == L - 1
+        assert None not in draw.extremes
     # Each cell takes L + 1 singular-value sets (its above products and the
-    # identity below layer 1) plus one per new below product, and builds the
-    # identity's right factor plus one per new below product: rising depths
+    # identity below layer 1) plus one per new below product: rising depths
     # add their new layers, falling and equal depths none, a new seed all.
-    assert counts == [(4 + 1 + 3, 1 + 3), (6 + 1 + 2, 1 + 2), (3 + 1, 1),
-                      (3 + 1, 1), (8 + 1 + 5, 1 + 5), (5 + 1 + 4, 1 + 4)]
+    # It builds one right factor per layer.
+    assert counts == [(4 + 1 + 3, 4), (6 + 1 + 2, 6), (3 + 1, 3),
+                      (3 + 1, 3), (8 + 1 + 5, 8), (5 + 1 + 4, 5)]
 
 
 def test_records_that_do_not_match_recompute(spy_svdvals):
@@ -146,42 +145,40 @@ def test_records_that_do_not_match_recompute(spy_svdvals):
     deep = init(_spec(L=6), seed=3, draw=draw)
     assert evaluate(_spec(L=6), deep) == (12, 6)
     shallow = init(_spec(L=4), seed=3, draw=draw)
-    kept = (list(draw.extremes), list(draw.rights))
-    assert len(kept[0]) == 3
+    kept = list(draw.extremes)
+    assert len(kept) == 3
     # `deep` is stale: the record holds its 3 leading products and their
-    # terms; its other 2 are rebuilt, derived again and not stored.
-    assert evaluate(_spec(L=6), deep) == (6 + 1 + 2, 1 + 2)
-    assert evaluate(_spec(L=6), deep) == (6 + 1 + 2, 1 + 2)
-    assert (list(draw.extremes), list(draw.rights)) == kept
+    # pairs; its other 2 are rebuilt, derived again and not stored.
+    assert evaluate(_spec(L=6), deep) == (6 + 1 + 2, 6)
+    assert evaluate(_spec(L=6), deep) == (6 + 1 + 2, 6)
+    assert list(draw.extremes) == kept
     # A Params made outside init sharing only the record's first layer.
     mixed = Params(layers=(shallow.layers[0],
                            *(2 * w for w in shallow.layers[1:])), draw=draw)
-    assert evaluate(_spec(L=4), mixed) == (4 + 1 + 2, 1 + 2)
-    assert (list(draw.extremes), list(draw.rights)) == kept
-    # Another beta replaces the products and their terms; the old beta
+    assert evaluate(_spec(L=4), mixed) == (4 + 1 + 2, 4)
+    assert list(draw.extremes) == kept
+    # Another beta replaces the products and their pairs; the old beta
     # after it derives them all again.
-    assert evaluate(_spec(L=4, beta=2.0), shallow) == (4 + 1 + 3, 1 + 3)
+    assert evaluate(_spec(L=4, beta=2.0), shallow) == (4 + 1 + 3, 4)
     assert draw.beta == 2.0
-    assert evaluate(_spec(L=4, beta=2.0), shallow) == (5, 1)
+    assert evaluate(_spec(L=4, beta=2.0), shallow) == (5, 4)
     assert evaluate(_spec(L=4, beta=0.5), shallow) == (8, 4)
     assert draw.beta == 0.5
-    # A second Sigma^(1/2) array with equal values rebuilds every right
-    # factor but reuses the singular values, which do not read it.
+    # A second Sigma^(1/2) array with equal values reuses the singular
+    # values, which do not read it.
     twin = _counted(terms)
     assert np.array_equal(twin.sigma_half, terms.sigma_half)
     assert evaluate(_spec(L=4), shallow, twin) == (5, 4)
-    assert all(half is twin.sigma_half for half, _ in draw.rights)
     assert evaluate(_spec(L=4), shallow) == (5, 4)
-    assert evaluate(_spec(L=4), shallow) == (5, 1)
-    # A writeable Sigma^(1/2) is read but never held.
+    assert evaluate(_spec(L=4), shallow) == (5, 4)
+    # So does a writeable one.
     loose = DataTerms(terms.kappa_sigma,
                       sigma_half=np.array(terms.sigma_half).view(CountedHalf))
     assert evaluate(_spec(L=4), shallow, loose) == (5, 4)
     assert evaluate(_spec(L=4), shallow, loose) == (5, 4)
-    assert all(half is terms.sigma_half for half, _ in draw.rights)
-    # A new seed drops the terms with the products.
+    # A new seed drops the pairs with the products.
     init(_spec(L=4), seed=4, draw=draw)
-    assert draw.below == draw.extremes == draw.rights == []
+    assert draw.below == draw.extremes == []
 
 
 def test_layer_products_alone_leaves_no_terms():
@@ -189,12 +186,12 @@ def test_layer_products_alone_leaves_no_terms():
     params = init(_spec(L=5), seed=0, draw=draw)
     layer_products(params, 0.5)
     assert len(draw.below) == 4
-    assert draw.extremes == draw.rights == [None] * 4
+    assert draw.extremes == [None] * 4
 
 
 @pytest.mark.parametrize("dims", [(10, 6, 6, 6, 3), (6, 8, 4, 8, 3),
                                   (30, 12, 12, 1)])
-def test_no_right_factor_is_held_past_its_products_size(dims):
+def test_held_pairs_and_their_reuse_on_bottlenecked_nets(dims):
     d = dims[0]
     ds = _dataset(d)
     terms = data_terms(ds, "residual")
@@ -203,8 +200,6 @@ def test_no_right_factor_is_held_past_its_products_size(dims):
     params = init(spec, seed=0, draw=draw)
     first = _fingerprint(checkpoint_metrics(spec, params, ds, None, terms))
     rows = [p.shape[0] for p in draw.below]
-    assert [right is not None for right in draw.rights] == [
-        d <= r for r in rows]
     for (smax, smin), r in zip(draw.extremes, rows):
         assert smax > 0
         # A product with fewer rows than d has a singular d x d Gram.

@@ -13,8 +13,9 @@ data keys that the config's source does not read, an `eigen_floor` without
 `whiten` command, sweeps whose error is in a key the axis does not set,
 `k` beside explicit `dims`, `L` on a one-hidden kind, a network key on
 the `whiten` command, a flag the command does not read, `init_sigma` under
-a non-gaussian init, an idx `data_seed` without a positive `limit` and a
-negative `seeds` under `--seed-override`), the benchmark's four
+a non-gaussian init, an idx `data_seed` without a positive `limit`, a
+network value that does not parse beside a data file that does not exist,
+and a negative `seeds` under `--seed-override`), the benchmark's four
 workload configs (`bench/run.py`, seed 0), the GN builders that the CLI
 does not reach (`gn_conv_shared`, `gn_from_jacobian`) and the library's
 bound functions.
@@ -119,8 +120,8 @@ CLI_CASES = [
     ("sweep_residual_depth_repeats_jobs2", "sweep", ["--jobs", "2"],
      RESIDUAL.replace("seeds = 0", "seeds = 0,1")
      + "k = 3\nm = 10\naxis = L\nvalues = 6,3,6,2,8\n"),
-    # m = 6 < d = 10: every below product is rank-deficient, and none is
-    # smaller than its d x d right factor.
+    # m = 6 < d = 10: every below product past layer 1 has fewer rows than
+    # d, so its d x d Gram is singular.
     ("sweep_residual_bottleneck_depth", "sweep", [],
      RESIDUAL.replace("seeds = 0", "seeds = 0,1")
      + "k = 3\nm = 6\naxis = L\nvalues = 6,3,6,2,8\n"),
@@ -277,6 +278,11 @@ CLI_CASES = [
     ("exit2_idx_data_seed_no_limit", "analyze", [],
      "data = idx\ndata_path = ../missing.idx\ndata_seed = 5\n"
      "kind = linear_deep\nk = 2\nm = 4\nL = 2\nseeds = 0\n"),
+    # No such file: a tree that reads the network keys after the data
+    # exits 4.
+    ("exit2_csv_missing_file_bad_m", "analyze", [],
+     "data = csv\ndata_path = ../missing.csv\nkind = linear_deep\nk = 2\n"
+     "m = abc\nL = 2\nseeds = 0\n"),
     ("exit2_negative_seeds_seed_override", "analyze", ["--seed-override", "3"],
      SMALL.replace("seeds = 0,1", "seeds = -5")
      + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
