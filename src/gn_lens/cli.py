@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields, is_dataclass, replace
 from functools import partial
 
@@ -618,10 +617,19 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     # order), so that a cell reuses the layers its worker drew for the
     # previous value; rows and errors stay in grid order.
     order = sorted(range(len(cells)), key=lambda i: i % len(seeds))
+    ordered = [cells[i] for i in order]
+    pool_size = jobs or os.cpu_count() or 1
+    if pool_size == 1:
+        # One worker: the calling thread, with no pool to start or import.
+        computed = map(run_cell, ordered)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            computed = list(pool.map(run_cell, ordered))
     results = [None] * len(cells)
-    with ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1) as pool:
-        for i, result in zip(order, pool.map(run_cell, [cells[i] for i in order])):
-            results[i] = result
+    for i, result in zip(order, computed):
+        results[i] = result
     rows = _cell_results(out_dir, "sweep", axis, cells, results)
     write_rows(os.path.join(out_dir, "sweep.csv"), RESULT_COLUMNS, rows)
     if args.svg:
@@ -775,7 +783,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--jobs", type=int, default=0,
                        help="parallel workers for sweep cells (0 = all "
-                            "cores); the other commands run serially")
+                            "cores; 1 runs them on the calling thread); "
+                            "the other commands run serially")
         # `--jobs` aside, a command takes only the flags it reads.
         if name in ("sweep", "train"):
             p.add_argument("--svg", action="store_true",

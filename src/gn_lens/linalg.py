@@ -178,7 +178,10 @@ def sym_eigendecompose(m, want_vectors: bool = False):
     the column-major matrix whose columns are the matching orthonormal
     eigenvectors.
     """
-    a = _check_square_symmetric(as_matrix(m))
+    # `a` is exactly symmetric, so its transpose holds the same values; for a
+    # C-ordered `a` that view is Fortran-ordered, and NumPy fills LAPACK's
+    # column-major buffer from contiguous rows instead of strided columns.
+    a = _check_square_symmetric(as_matrix(m)).T
     try:
         if not want_vectors:
             return Spectrum.from_values(np.linalg.eigvalsh(a))

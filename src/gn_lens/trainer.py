@@ -157,18 +157,21 @@ def _gradient(spec: NetworkSpec, layers, mask, X, Y, eyes, grad,
     else:
         shifted = ([shift_layer(w, spec.beta) for w in layers]
                    if spec.kind == RESIDUAL else layers)
-        h = X
-        for w in shifted:
+        h = first = shifted[0] @ X
+        for w in shifted[1:]:
             h = w @ h
         resid = h - Y  # k x n, C-ordered
         chain = shifted if spec.skip != 0.0 else layers
         above, below = chain_products(reversed(chain[1:]), chain[:-1], *eyes)
         # Above the top layer is I_k, and I_k.T @ resid is resid exactly.
         # The I_d @ X below the bottom layer stays: for a Fortran-ordered
-        # batch, X.T and (I_d @ X).T take different GEMM paths.
+        # batch, X.T and (I_d @ X).T take different GEMM paths. Below layer 2
+        # is layer 1 itself: where the forward pass multiplied that same
+        # array (all but a residual net at beta = 0), its product is reused.
         lefts = [a.T @ resid for a in above[:-1]] + [resid]
-        for g, left, b in zip(grads, lefts, below):
-            np.matmul(left, (b @ X).T, out=g)
+        for i, (g, left, b) in enumerate(zip(grads, lefts, below)):
+            bx = first if i == 1 and b is shifted[0] else b @ X
+            np.matmul(left, bx.T, out=g)
     grad /= X.shape[1]
     if mask is not None:
         grad *= mask
