@@ -11,7 +11,6 @@ import argparse
 import math
 import os
 import sys
-import threading
 from dataclasses import astuple, dataclass, fields, is_dataclass, replace
 from functools import partial
 
@@ -584,7 +583,7 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
                               f"got {cfg['values']!r}")
         values = [int(v) for v in values]
     kind, policy, seeds = _check_before_data(cfg, args, axis=axis)
-    jobs = _at_least("--jobs", args.jobs, 0)
+    _at_least("--jobs", args.jobs, 0)
     ds = load_dataset(cfg)
     label = cfg.get("experiment", "sweep")
     # What fails at the neutral axis value, or in an aligned init on widths no
@@ -595,17 +594,14 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
     # What the cells read of the dataset, built once for all of them.
     terms = data_terms(ds, kind)
 
-    # Each worker keeps the last draw it made, and only that one.
-    workers = threading.local()
+    # The run's one draw keeps the last cell's layers, and only those.
+    draw = Draw()
 
-    def run_cell(cell):
+    def run_cell(value, seed):
         """The cell's row, or the error that failed it."""
-        value, seed = cell
         try:
             spec = build_spec({**cfg, axis: value}, ds.d)
-            if not hasattr(workers, "draw"):
-                workers.draw = Draw()
-            params = init_params(spec, cfg, seed, workers.draw)
+            params = init_params(spec, cfg, seed, draw)
             result = evaluate_instance(spec, params, ds, policy, terms)
             return _row(f"{label}:{axis}={value}", seed, spec, ds, policy,
                         result, kappa_sigma=result.kappa_sigma)
@@ -613,23 +609,13 @@ def cmd_sweep(cfg: dict, out_dir: str, args) -> int:
             return exc
 
     cells = [(value, seed) for value in values for seed in seeds]
-    # Cells run seed by seed (by position in `seeds`, values in the config's
-    # order), so that a cell reuses the layers its worker drew for the
-    # previous value; rows and errors stay in grid order.
-    order = sorted(range(len(cells)), key=lambda i: i % len(seeds))
-    ordered = [cells[i] for i in order]
-    pool_size = jobs or os.cpu_count() or 1
-    if pool_size == 1:
-        # One worker: the calling thread, with no pool to start or import.
-        computed = map(run_cell, ordered)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            computed = list(pool.map(run_cell, ordered))
     results = [None] * len(cells)
-    for i, result in zip(order, computed):
-        results[i] = result
+    # Cells run seed by seed (values in the config's order), so that a cell
+    # reuses the layers its seed drew for the previous value; rows and errors
+    # stay in grid order.
+    for j, seed in enumerate(seeds):
+        for i, value in enumerate(values):
+            results[i * len(seeds) + j] = run_cell(value, seed)
     rows = _cell_results(out_dir, "sweep", axis, cells, results)
     write_rows(os.path.join(out_dir, "sweep.csv"), RESULT_COLUMNS, rows)
     if args.svg:
@@ -782,9 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--jobs", type=int, default=0,
-                       help="parallel workers for sweep cells (0 = all "
-                            "cores; 1 runs them on the calling thread); "
-                            "the other commands run serially")
+                       help="accepted and unread: every command runs on "
+                            "the calling thread and starts no worker "
+                            "(sweep refuses a negative value)")
         # `--jobs` aside, a command takes only the flags it reads.
         if name in ("sweep", "train"):
             p.add_argument("--svg", action="store_true",

@@ -13,7 +13,7 @@ class DimensionError(GnLensError):
     """Shapes are incompatible with the requested operation."""
 
 
-class SizeError(GnLensError):
+class SizeError(DimensionError):
     """Result would exceed the configured dense-dimension cap."""
 
 

@@ -47,9 +47,10 @@ from .network import (
     partial_product,
 )
 
-# Larger than sqrt(machine eps): the forwards are piecewise linear in
-# each parameter, so the central difference has no truncation error away
-# from activation kinks and a wider step only reduces cancellation noise.
+# Larger than sqrt(machine eps), to cut cancellation noise. The forwards of
+# the piecewise-linear kinds are linear in each parameter away from
+# activation kinks, where the central difference is exact; batch norm is
+# not, so for linear_bn_one_hidden it is an O(h^2) approximation.
 _FD_STEP = 1e-6
 
 # Entries (256 KB) of one chunk of the kd x kd GN while it is assembled, and
@@ -222,8 +223,7 @@ def gn_leaky(W, V, X, alpha: float) -> tuple[GnMatrix, np.ndarray]:
         raise DimensionError("W, V, X shapes are inconsistent")
     n = x.shape[1]
     if k * n > DEFAULT_DIM_CAP:
-        raise DimensionError(
-            f"kn={k * n} exceeds dimension cap {DEFAULT_DIM_CAP}")
+        raise SizeError(f"kn={k * n} exceeds dimension cap {DEFAULT_DIM_CAP}")
     # unit_patterns' lam from the pre-activations, which then become u.
     u = v @ x
     lam = np.where(u > 0, 1.0, alpha)
@@ -292,9 +292,17 @@ def gn_from_jacobian(spec: NetworkSpec, params: Params, X,
     and residual kinds only); 'finite_difference' works for every kind,
     including batch-coupled ones, via central differences on the stacked
     k*n outputs. Returns the Gram form on the smaller of the two sides
-    (p x p or kn x kn); the nonzero spectra agree.
+    (p x p or kn x kn); the nonzero spectra agree. A side past the dimension
+    cap is refused with SizeError before any forward pass.
     """
     x = as_matrix(X, "X")
+    outputs = (spec.conv_layers[-1][0] * spec.conv_lengths()[-1]
+               if spec.kind == LINEAR_CONV else spec.dims[-1])
+    kn = outputs * x.shape[1]
+    p = sum(w.size for w in params.layers)
+    if min(p, kn) > DEFAULT_DIM_CAP:
+        raise SizeError(f"min(p, kn)={min(p, kn)} (p={p}, kn={kn}) exceeds "
+                        f"dimension cap {DEFAULT_DIM_CAP}")
     if mode == "analytic_linear":
         if spec.kind not in (LINEAR_DEEP, RESIDUAL):
             raise SpecError("analytic_linear mode needs a linear/residual kind")
@@ -342,7 +350,7 @@ def gn_conv_shared(spec: NetworkSpec, params: Params, sigma) -> GnMatrix:
         raise DimensionError(f"filter shapes must be {shapes}")
     p = sum(w.size for w in params.layers)
     if p > DEFAULT_DIM_CAP:
-        raise DimensionError(f"p={p} exceeds dimension cap {DEFAULT_DIM_CAP}")
+        raise SizeError(f"p={p} exceeds dimension cap {DEFAULT_DIM_CAP}")
     s_half = psd_sqrt(as_matrix(sigma, "sigma"))
     lifted = Params(layers=tuple(lift_conv(spec, params)))
     if s_half.shape[0] != lifted.layers[0].shape[1]:
@@ -372,7 +380,8 @@ def functional_hessian_spectrum(W, V, sigma, teacher: TeacherSpec):
     Returns (Spectrum, H_F): the eigenvalues are +/- the singular values of
     the residual-input covariance (W V - Z) Sigma, each with multiplicity m,
     padded with zeros to the full (k + d) * m dimension, plus the assembled
-    block matrix for oracle use.
+    block matrix for oracle use. A dimension past the cap is refused with
+    SizeError before anything is computed.
     """
     w = as_matrix(W, "W")
     v = as_matrix(V, "V")
@@ -382,9 +391,12 @@ def functional_hessian_spectrum(W, V, sigma, teacher: TeacherSpec):
     d = v.shape[1]
     if v.shape[0] != m or z.shape != (k, d) or sig.shape != (d, d):
         raise DimensionError("W, V, Z, sigma shapes are inconsistent")
+    total = (k + d) * m
+    if total > DEFAULT_DIM_CAP:
+        raise SizeError(f"(k+d)m={total} exceeds dimension cap "
+                        f"{DEFAULT_DIM_CAP}")
     omega = (w @ v - z) @ sig
     svals = svdvals(omega)
-    total = (k + d) * m
     values = np.concatenate([
         np.repeat(svals, m),
         np.zeros(total - 2 * m * svals.size),

@@ -248,8 +248,6 @@ def pseudo_condition_number(spec: Spectrum, policy: RankPolicy | None = None) ->
 def rank_sensitivity_sweep(spec: Spectrum) -> list[tuple[int, float]]:
     """kappa as a function of the assumed rank, for all positive values."""
     v = spec.values
-    if v.size == 0:
-        return []
     out = []
     for r in range(1, v.size + 1):
         if v[r - 1] <= 0:

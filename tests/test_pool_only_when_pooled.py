@@ -1,6 +1,6 @@
-"""A sweep with one worker runs its cells on the calling thread: it starts no
-thread and never imports `concurrent.futures` (nor the `logging` that the
-pool brings); only a sweep of two or more workers builds a thread pool."""
+"""Every command runs on the calling thread, whatever `--jobs` is: none
+starts a thread or imports `concurrent.futures` (nor the `logging` that a
+pool would bring), and a sweep's outputs do not depend on `--jobs`."""
 
 import json
 import os
@@ -22,8 +22,8 @@ DEEP = {**SMALL, "kind": "linear_deep", "k": "2", "m": "8", "L": "3"}
 TRAIN = {"lr": "0.01", "epochs": "2", "batch_size": "8"}
 SWEEP = {**SMALL, "kind": "linear_deep", "k": "2", "m": "8", "axis": "L",
          "values": "2,3,4"}
-# Each run in order, in one interpreter: the five commands that need no pool,
-# then a pooled sweep.
+# Each run in order, in one interpreter: the five commands, then a sweep that
+# asks for two workers.
 RUNS = [
     ("analyze", DEEP, []),
     ("train", {**DEEP, **TRAIN}, ["--jobs", "1"]),
@@ -55,7 +55,7 @@ def _argv(tmp_path, i, command, cfg, flags):
             *flags]
 
 
-def test_only_a_pooled_sweep_starts_threads_or_imports_the_pool(tmp_path):
+def test_no_command_starts_threads_or_imports_the_pool(tmp_path):
     argvs = [_argv(tmp_path, i, *run) for i, run in enumerate(RUNS)]
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -65,9 +65,7 @@ def test_only_a_pooled_sweep_starts_threads_or_imports_the_pool(tmp_path):
     seen = json.loads(proc.stdout)
     # Return code, threads started so far, and whether the pool's module and
     # `logging` are loaded, after each run.
-    assert seen[:5] == [[0, 0, False, False]] * 5
-    rc, started, futures, _ = seen[5]
-    assert (rc, futures) == (0, True) and 1 <= started <= 2
+    assert seen == [[0, 0, False, False]] * 6
     assert (tmp_path / "5" / "sweep.csv").read_bytes() == (
         tmp_path / "4" / "sweep.csv").read_bytes()
 
@@ -89,16 +87,15 @@ def _cell_threads(tmp_path, monkeypatch, *flags):
     return threads
 
 
-def test_one_worker_evaluates_every_cell_on_the_calling_thread(
+def test_every_worker_count_evaluates_every_cell_on_the_calling_thread(
         tmp_path, monkeypatch):
     caller = threading.get_ident()
     assert _cell_threads(tmp_path, monkeypatch, "--jobs", "1") == [caller] * 9
-    pooled = _cell_threads(tmp_path, monkeypatch, "--jobs", "3")
-    assert len(pooled) == 9 and caller not in pooled
+    assert _cell_threads(tmp_path, monkeypatch, "--jobs", "3") == [caller] * 9
 
 
-@pytest.mark.parametrize("cores", [1, None])
-def test_all_cores_of_a_one_core_host_is_the_calling_thread(
+@pytest.mark.parametrize("cores", [1, None, 8])
+def test_all_cores_of_any_host_is_the_calling_thread(
         tmp_path, monkeypatch, cores):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     assert _cell_threads(tmp_path, monkeypatch) == [threading.get_ident()] * 9

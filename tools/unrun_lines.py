@@ -5,10 +5,11 @@
 Runs pytest in this process from the repository root (by default over the
 `testpaths` of `pyproject.toml`), with this tree's `src` first on the import
 path, under a line tracer installed with `sys.settrace` and
-`threading.settrace`, so the threads of a sweep's pool are traced too. Only
-frames whose code lives in `src/gn_lens` are traced. It then prints every
-executable line of that package that never ran, as `path:line: source`, and
-last the count; it exits with pytest's status. A line counts as executable
+`threading.settrace`. No command starts a thread, but a test may: the
+benchmark's tracer test evaluates cells on a thread pool, and its threads
+are traced too. Only frames whose code lives in `src/gn_lens` are traced.
+It then prints every executable line of that package that never ran, as
+`path:line: source`, and last the count; it exits with pytest's status. A line counts as executable
 when the compiled module maps an instruction to it, so docstrings, comments
 and blank lines do not count.
 
