@@ -28,7 +28,6 @@ from .data import (
 )
 from .gauss_newton import (
     GnMatrix,
-    UnitActivationPattern,
     functional_hessian_spectrum,
     gn_conv,
     gn_conv_shared,
@@ -36,16 +35,13 @@ from .gauss_newton import (
     gn_leaky,
     gn_linear,
     gn_residual,
-    unit_patterns,
 )
 from .linalg import (
     RankPolicy,
     Spectrum,
-    kron,
     pseudo_condition_number,
     psd_sqrt,
     rank_sensitivity_sweep,
-    singular_values,
     sym_eigendecompose,
 )
 from .network import (

@@ -7,7 +7,7 @@ terms, with `RankPolicy.default_for`'s cutoff for a zero singular value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class BoundReport:
     value: float
     kappa_sigma: float
     terms: tuple[LayerTerm, ...] = ()
-    extras: dict = field(default_factory=dict)
 
 
 def _kappa_sigma(sigma) -> float:
@@ -50,7 +49,7 @@ def _kappa_sigma(sigma) -> float:
 
 def bound_one_hidden(W, V, sigma) -> BoundReport:
     """One-hidden-layer linear bound: the convex depth bound of the net V
-    then W, with its weight gamma_1 on W's term as `extras["beta_w"]`."""
+    then W; its weight on W's term (beta_w) is `terms[0].gamma_l`."""
     w = as_matrix(W, "W")
     v = as_matrix(V, "V")
     sigma = as_matrix(sigma, "sigma")
@@ -63,11 +62,10 @@ def bound_one_hidden(W, V, sigma) -> BoundReport:
             f"sigma is {sigma.shape[0]}x{sigma.shape[1]}, need {d}x{d} for "
             f"V's {d} columns")
     try:
-        convex = depth_bounds(layer_products(Params(layers=(v, w))),
-                              _kappa_sigma(sigma))[0]
+        return depth_bounds(layer_products(Params(layers=(v, w))),
+                            _kappa_sigma(sigma))[0]
     except AssumptionError as exc:
         raise DegenerateDataError(str(exc)) from exc
-    return replace(convex, extras={"beta_w": convex.terms[0].gamma_l})
 
 
 def _depth_terms(products, draw: Draw | None = None) -> list[LayerTerm]:

@@ -198,12 +198,17 @@ def _cov_spectrum(cfg, d: int) -> np.ndarray:
     try:
         if text.startswith("logspace:"):
             a, b = (float(v) for v in text[len("logspace:"):].split(","))
-            return np.logspace(a, b, d)
-        values = np.array(_float_list(text), dtype=np.float64)
+            with np.errstate(over="ignore"):
+                values = np.logspace(a, b, d)
+        else:
+            values = np.array(_float_list(text), dtype=np.float64)
     except ValueError as exc:
         raise ConfigError(f"bad cov_spectrum {text!r}") from exc
     if values.size != d:
         raise ConfigError(f"cov_spectrum lists {values.size} values, need d={d}")
+    if not (np.isfinite(values) & (values >= 0)).all():
+        raise ConfigError(f"key 'cov_spectrum': entries must be finite and "
+                          f">= 0, got {text!r}")
     return values
 
 

@@ -67,13 +67,6 @@ class GnMatrix:
         return sym_eigendecompose(self.matrix)
 
 
-@dataclass(frozen=True)
-class UnitActivationPattern:
-    """Per-unit diagonal activation derivatives, entries in {1, alpha}."""
-
-    diagonals: np.ndarray  # m x n
-
-
 def gn_linear(params: Params, sigma) -> GnMatrix:
     """kd x kd reduced GN of a deep linear network for input covariance sigma."""
     return gn_residual(params, 0.0, sigma)
@@ -199,15 +192,6 @@ def _pair_chunks(k: int, d: int):
             i += 1
 
 
-def unit_patterns(V, X, alpha: float) -> UnitActivationPattern:
-    """Activation derivative pattern per hidden unit; z == 0 maps to alpha."""
-    v = as_matrix(V, "V")
-    x = as_matrix(X, "X")
-    z = v @ x
-    diags = np.where(z > 0, 1.0, alpha)
-    return UnitActivationPattern(diagonals=diags)
-
-
 def gn_leaky(W, V, X, alpha: float) -> tuple[GnMatrix, np.ndarray]:
     """kn x kn reduced GN of a one-hidden piecewise-linear network.
 
@@ -224,7 +208,7 @@ def gn_leaky(W, V, X, alpha: float) -> tuple[GnMatrix, np.ndarray]:
     n = x.shape[1]
     if k * n > DEFAULT_DIM_CAP:
         raise SizeError(f"kn={k * n} exceeds dimension cap {DEFAULT_DIM_CAP}")
-    # unit_patterns' lam from the pre-activations, which then become u.
+    # Slopes lam: 1 where u = v @ x > 0, alpha elsewhere (u == 0 too).
     u = v @ x
     lam = np.where(u > 0, 1.0, alpha)
     u *= lam

@@ -1,5 +1,5 @@
-"""Dense spectral primitives: eigendecompositions, SVD, Kronecker products,
-PSD square roots and pseudo-condition numbers.
+"""Dense spectral primitives: eigendecompositions, singular values, PSD
+square roots and pseudo-condition numbers.
 
 All matrices are plain 2-D float64 numpy arrays in row-major layout; the
 row-major vectorization convention is fixed package-wide so that Kronecker
@@ -17,7 +17,6 @@ from .errors import (
     NumericError,
     PsdViolationError,
     RankZeroError,
-    SizeError,
     ValidationError,
 )
 
@@ -200,22 +199,6 @@ def svdvals(m: np.ndarray) -> np.ndarray:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"singular value decomposition failed: {exc}") from exc
-
-
-def singular_values(m) -> Spectrum:
-    """Singular values of an arbitrary matrix, descending."""
-    return Spectrum.from_values(svdvals(as_matrix(m)))
-
-
-def kron(a, b, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Kronecker product under the row-major vec convention (np.kron)."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > dim_cap or cols > dim_cap:
-        raise SizeError(f"kron result {rows}x{cols} exceeds cap {dim_cap}")
-    return np.kron(a, b)
 
 
 def psd_sqrt(m) -> np.ndarray:

@@ -298,14 +298,15 @@ def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
     return Params(layers=tuple(draw.layers), draw=record)
 
 
-def init_aligned_svd(spec: NetworkSpec, singular_value_law="abs_gaussian",
-                     explicit=None, seed: int = 0) -> Params:
+def init_aligned_svd(spec: NetworkSpec, explicit=None,
+                     seed: int = 0) -> Params:
     """Initializer with coinciding singular bases across layers.
 
     All hidden layers share one seeded orthogonal basis Q and are symmetric
     PSD, W^ell = Q diag(s) Q^T, so adding beta*I shifts every singular value
     by exactly beta and consecutive layers' singular bases align. Rectangular
-    end layers use truncated columns of Q.
+    end layers use truncated columns of Q. Layer idx's singular values are
+    `explicit[idx]`, or |Gaussian| draws where `explicit` is None.
     """
     if spec.kind not in ALIGNED_KINDS:
         raise SpecError("aligned init is defined for linear/residual kinds")
@@ -322,16 +323,14 @@ def init_aligned_svd(spec: NetworkSpec, singular_value_law="abs_gaussian",
     L = spec.depth
 
     def draw(count, idx):
-        if singular_value_law == "abs_gaussian":
+        if explicit is None:
             return np.abs(rng.standard_normal(count))
-        if singular_value_law == "explicit":
-            vals = np.asarray(explicit[idx], dtype=np.float64)
-            if vals.size != count:
-                raise SpecError(
-                    f"layer {idx + 1} needs {count} singular values, got {vals.size}"
-                )
-            return vals
-        raise SpecError(f"unknown singular value law {singular_value_law!r}")
+        vals = np.asarray(explicit[idx], dtype=np.float64)
+        if vals.size != count:
+            raise SpecError(
+                f"layer {idx + 1} needs {count} singular values, got {vals.size}"
+            )
+        return vals
 
     layers = []
     for idx in range(L):
@@ -347,13 +346,8 @@ def init_aligned_svd(spec: NetworkSpec, singular_value_law="abs_gaussian",
     return Params(layers=tuple(layers))
 
 
-def rect_identity(rows: int, cols: int) -> np.ndarray:
-    """Rectangular identity: top-left identity block, zeros elsewhere."""
-    return np.eye(rows, cols)
-
-
 def shift_layer(w: np.ndarray, beta: float) -> np.ndarray:
-    """w + beta * rect_identity(*w.shape), without building the identity.
+    """w + beta * np.eye(*w.shape), without building the identity.
 
     Adding 0.0 turns -0.0 into +0.0 as the identity's zeros do, and the
     copy is C-ordered as that sum is, so products of the shifted layer

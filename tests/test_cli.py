@@ -60,8 +60,9 @@ class TestExitCodes:
         assert "bad.cfg:2" in err and "bad_key" in err
 
     def test_numeric_failure(self, tmp_path):
-        cfg = write_config(tmp_path, "neg.cfg", ANALYZE_CFG.replace(
-            "seeds = 0", "seeds = 0\ncov_spectrum = 1,1,-1,1"))
+        # A zero covariance leaves every GN eigenvalue at the rank cutoff.
+        cfg = write_config(tmp_path, "zero.cfg", ANALYZE_CFG.replace(
+            "seeds = 0", "seeds = 0\ncov_spectrum = 0,0,0,0"))
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 3
 
     def test_success(self, tmp_path):

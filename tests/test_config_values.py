@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from gn_lens import TrainConfig, init, train
+from gn_lens import TrainConfig, cli, init, train
 from gn_lens.cli import ALLOWED_KEYS, build_spec, load_dataset, main
 from gn_lens.cli import _teacher_targets
 
@@ -131,8 +131,20 @@ def test_an_integer_axis_value_that_fails_fails_only_its_cell(tmp_path):
     assert run(tmp_path, "sweep", {**SWEEP, "values": "0"}) == 3
 
 
-def test_a_negative_covariance_spectrum_stays_a_numeric_error(tmp_path):
-    assert run(tmp_path, "analyze", {**DEEP, "cov_spectrum": "1,1,-1,1"}) == 3
+@pytest.mark.parametrize("spectrum", ["-1,1,1,1", "1,nan,2,1", "1,inf,2,1",
+                                      "logspace:1,nan", "logspace:400,1"])
+def test_a_bad_covariance_spectrum_is_a_config_error(tmp_path, capsys,
+                                                     monkeypatch, spectrum):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("data synthesized before cov_spectrum is checked")
+
+    monkeypatch.setattr(cli, "synthesize_gaussian", not_reached)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from logspace
+        assert run(tmp_path, "analyze", {**DEEP, "cov_spectrum": spectrum}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'cov_spectrum'")
+    assert err.count("\n") == 1
 
 
 GRID_KEYS = ("d", "n", "k", "m", "L", "beta", "alpha", "init", "seeds",

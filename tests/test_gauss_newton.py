@@ -20,7 +20,6 @@ from gn_lens import (
     lift_conv,
     pseudo_condition_number,
     sym_eigendecompose,
-    unit_patterns,
 )
 from gn_lens.data import Dataset, synthesize_gaussian
 from gn_lens.errors import DimensionError, SpecError
@@ -113,31 +112,6 @@ class TestGnResidual:
         oracle = gn_from_jacobian(spec, params, x,
                                   mode="analytic_linear").spectrum()
         match_nonzero_spectra(exact.values, oracle.values, 1e-8)
-
-
-class TestUnitPatterns:
-    def test_alpha_one_all_ones(self):
-        rng = np.random.default_rng(7)
-        pattern = unit_patterns(rng.standard_normal((3, 2)),
-                                rng.standard_normal((2, 5)), alpha=1.0)
-        assert np.all(pattern.diagonals == 1.0)
-
-    def test_positive_data_identity(self):
-        v = np.abs(np.random.default_rng(8).standard_normal((3, 2)))
-        x = np.abs(np.random.default_rng(9).standard_normal((2, 4)))
-        pattern = unit_patterns(v, x, alpha=0.01)
-        assert np.all(pattern.diagonals == 1.0)
-
-    def test_matches_naive_sign_loop(self):
-        rng = np.random.default_rng(10)
-        v = rng.standard_normal((4, 3))
-        x = rng.standard_normal((3, 7))
-        pattern = unit_patterns(v, x, alpha=0.25)
-        z = v @ x
-        for i in range(4):
-            for j in range(7):
-                expect = 1.0 if z[i, j] > 0 else 0.25
-                assert pattern.diagonals[i, j] == expect
 
 
 class TestGnLeaky:

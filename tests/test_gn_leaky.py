@@ -1,6 +1,7 @@
 """`gauss_newton.gn_leaky`: the closed-form kn x kn GN of a one-hidden
 Leaky-ReLU network against the per-unit Kronecker sum it replaces, the
-finite-difference Jacobian Gram entry by entry, and the dimension cap."""
+finite-difference Jacobian Gram entry by entry, its activation slopes, and
+the dimension cap."""
 
 import numpy as np
 import pytest
@@ -12,13 +13,15 @@ from gn_lens.errors import DimensionError
 from gn_lens.linalg import DEFAULT_DIM_CAP
 
 
-def kron_reference(w, v, x, alpha):
+def kron_reference(w, v, x, alpha, lam=None):
     """Sum over hidden units i of (Lam_i X^T X Lam_i) kron (w_i w_i^T), plus
-    Gamma kron I_k, where Gamma sums u_i u_i^T with u_i = Lam_i (v_i X)."""
+    Gamma kron I_k, where Gamma sums u_i u_i^T with u_i = Lam_i (v_i X).
+    Lam_i is diag(lam[i]), by default 1 where v_i X > 0 and alpha elsewhere."""
     k, m = w.shape
     n = x.shape[1]
     z = v @ x
-    lam = np.where(z > 0, 1.0, alpha)
+    if lam is None:
+        lam = np.where(z > 0, 1.0, alpha)
     xtx = x.T @ x
     g = np.zeros((k * n, k * n))
     gamma = np.zeros((n, n))
@@ -75,11 +78,40 @@ def test_equals_the_jacobian_gram_in_sample_output_order():
     assert_entrywise(exact.matrix, oracle.matrix, 1e-8)
 
 
-def test_cap_is_checked_before_any_work(monkeypatch):
-    def not_reached(*args, **kwargs):
-        raise AssertionError("gn_leaky went past the dimension cap check")
+class TestUnitPatterns:
+    """gn_leaky's slope of unit i on sample j: 1 where v_i x_j > 0, alpha
+    elsewhere, a tie v_i x_j = 0 included."""
 
-    monkeypatch.setattr(gauss_newton, "unit_patterns", not_reached)
+    def test_alpha_one_all_ones(self):
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal((3, 2))
+        x = rng.standard_normal((2, 5))
+        _, gamma = gn_leaky(rng.standard_normal((2, 3)), v, x, alpha=1.0)
+        assert_entrywise(gamma, (v @ x).T @ (v @ x), 1e-12)
+
+    def test_positive_data_identity(self):
+        v = np.abs(np.random.default_rng(8).standard_normal((3, 2)))
+        x = np.abs(np.random.default_rng(9).standard_normal((2, 4)))
+        _, gamma = gn_leaky(np.ones((2, 3)), v, x, alpha=0.01)
+        assert_entrywise(gamma, (v @ x).T @ (v @ x), 1e-12)
+
+    def test_a_tie_takes_the_slope_alpha(self):
+        v = np.array([[1.0, -1.0], [0.5, 2.0]])
+        x = np.array([[1.0, 2.0, -1.0], [1.0, 0.5, 3.0]])
+        w = np.array([[1.0, 2.0], [-1.0, 0.5]])
+        # v @ x = [[0, 1.5, -4], [2.5, 2, 5.5]]: unit 0 ties on sample 0.
+        assert (v @ x)[0, 0] == 0.0
+        lam = np.array([[0.25, 1.0, 0.25], [1.0, 1.0, 1.0]])
+        gn, gamma = gn_leaky(w, v, x, alpha=0.25)
+        expected_gn, expected_gamma = kron_reference(w, v, x, 0.25, lam)
+        assert_entrywise(gn.matrix, expected_gn, 1e-12)
+        assert_entrywise(gamma, expected_gamma, 1e-12)
+        lam[0, 0] = 1.0
+        slope_one, _ = kron_reference(w, v, x, 0.25, lam)
+        assert not np.allclose(gn.matrix, slope_one)
+
+
+def test_cap_is_checked_before_any_work():
     k, n = 73, 137  # kn = 10,001
     assert k * n == DEFAULT_DIM_CAP + 1
     with pytest.raises(DimensionError, match="kn=10001"):

@@ -11,20 +11,18 @@ import pytest
 from gn_lens import (
     RankPolicy,
     Spectrum,
-    kron,
     pseudo_condition_number,
     psd_sqrt,
     rank_sensitivity_sweep,
-    singular_values,
     sym_eigendecompose,
 )
 from gn_lens.errors import (
     DimensionError,
     PsdViolationError,
     RankZeroError,
-    SizeError,
     ValidationError,
 )
+from gn_lens.linalg import svdvals
 
 
 def jacobi_eigenvalues(a, sweeps=100, tol=1e-14):
@@ -86,11 +84,11 @@ class TestSymEigendecompose:
 
 class TestSingularValues:
     def test_diagonal_with_sign(self):
-        spec = singular_values(np.diag([2.0, -3.0]))
+        spec = Spectrum.from_values(svdvals(np.diag([2.0, -3.0])))
         assert np.allclose(spec.values, [3.0, 2.0])
 
     def test_zero_matrix(self):
-        spec = singular_values(np.zeros((3, 3)))
+        spec = Spectrum.from_values(svdvals(np.zeros((3, 3))))
         assert np.allclose(spec.values, 0.0)
         with pytest.raises(RankZeroError):
             pseudo_condition_number(spec)
@@ -98,9 +96,9 @@ class TestSingularValues:
     def test_squares_match_gram_eigenvalues(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((5, 3))
-        sv = singular_values(m)
+        sv = svdvals(m)
         gram = sym_eigendecompose(m.T @ m)
-        assert np.allclose(sv.values**2, gram.values[:3], atol=1e-10)
+        assert np.allclose(sv**2, gram.values[:3], atol=1e-10)
 
 
 class TestSpectrum:
@@ -112,35 +110,6 @@ class TestSpectrum:
     def test_rejects_increasing(self):
         with pytest.raises(ValidationError):
             Spectrum(values=np.array([1.0, 2.0]))
-
-
-class TestKron:
-    def test_block_structure(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kron(a, np.eye(2))
-        expect = np.array([
-            [1, 0, 2, 0],
-            [0, 1, 0, 2],
-            [3, 0, 4, 0],
-            [0, 3, 0, 4],
-        ], dtype=np.float64)
-        assert np.array_equal(out, expect)
-
-    def test_identity_kron_sigma_eigenvalues(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((3, 3))
-        sigma = m @ m.T
-        eigs = sym_eigendecompose(kron(np.eye(2), sigma)).values
-        base = sym_eigendecompose(sigma).values
-        assert np.allclose(eigs, np.sort(np.tile(base, 2))[::-1], atol=1e-10)
-
-    def test_diagonal_product_rule(self):
-        eigs = sym_eigendecompose(kron(np.diag([1.0, 4.0]), np.diag([2.0, 3.0])))
-        assert np.allclose(eigs.values, [12.0, 8.0, 3.0, 2.0])
-
-    def test_dimension_cap(self):
-        with pytest.raises(SizeError):
-            kron(np.eye(200), np.eye(200), dim_cap=10_000)
 
 
 class TestPsdSqrt:

@@ -143,7 +143,6 @@ def test_the_bound_wrappers_equal_the_core_with_kappa_sigma():
     core = depth_bounds(layer_products(Params(layers=(v, w))), ks)[0]
     assert (one.value, one.kappa_sigma, one.terms) == (
         core.value, core.kappa_sigma, core.terms)
-    assert one.extras == {"beta_w": core.terms[0].gamma_l}
 
 
 def test_the_sigma_error_comes_before_the_depth_terms_error():

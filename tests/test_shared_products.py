@@ -30,7 +30,7 @@ from gn_lens import (
 )
 from gn_lens import bounds, gauss_newton, network
 from gn_lens.errors import AssumptionError
-from gn_lens.network import LINEAR_DEEP, RESIDUAL, rect_identity
+from gn_lens.network import LINEAR_DEEP, RESIDUAL
 
 
 def random_params(dims, seed):
@@ -123,7 +123,7 @@ def with_negative_zeros(w, order):
 
 
 def old_shift(w, beta):
-    return w + beta * rect_identity(*w.shape)
+    return w + beta * np.eye(*w.shape)
 
 
 def assert_bitwise_equal(a, b):

@@ -8,10 +8,10 @@ from gn_lens import (
     TeacherSpec,
     functional_hessian_spectrum,
     psd_sqrt,
-    singular_values,
 )
 from gn_lens.cli import main
 from gn_lens.errors import NumericError
+from gn_lens.linalg import svdvals
 
 
 def no_convergence(*args, **kwargs):
@@ -39,7 +39,7 @@ def test_psd_sqrt(monkeypatch):
 def test_singular_values(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     with pytest.raises(NumericError, match="singular value decomposition"):
-        singular_values(np.ones((2, 3)))
+        svdvals(np.ones((2, 3)))
 
 
 def test_functional_hessian_spectrum(monkeypatch):

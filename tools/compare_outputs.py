@@ -15,7 +15,8 @@ data keys that the config's source does not read, an `eigen_floor` without
 the `whiten` command, a flag the command does not read, `init_sigma` under
 a non-gaussian init, an idx `data_seed` without a positive `limit`, a
 network value that does not parse beside a data file that does not exist,
-and a negative `seeds` under `--seed-override`), the benchmark's four
+a negative `seeds` under `--seed-override`, and a `cov_spectrum` entry that
+is negative, NaN or infinite, listed or from a logspace), the benchmark's four
 workload configs (`bench/run.py`, seed 0), the GN builders that the CLI
 does not reach (`gn_conv_shared`, `gn_from_jacobian`) and the library's
 bound functions.
@@ -286,6 +287,16 @@ CLI_CASES = [
     ("exit2_negative_seeds_seed_override", "analyze", ["--seed-override", "3"],
      SMALL.replace("seeds = 0,1", "seeds = -5")
      + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
+] + [
+    (f"exit2_cov_spectrum_{name}", "analyze", [],
+     SMALL + f"cov_spectrum = {spectrum}\nkind = linear_deep\nk = 2\nm = 8\n"
+             "L = 3\n")
+    for name, spectrum in (("negative", "-1,1,1,1,1,1"),
+                           ("nan", "1,nan,2,1,1,1"),
+                           ("inf", "1,inf,2,1,1,1"),
+                           ("logspace_nan", "logspace:1,nan"),
+                           ("logspace_overflow", "logspace:400,1"))
+] + [
     ("exit3_cap", "analyze", [],
      "data = synthetic\nd = 2000\nn = 8\nkind = linear_deep\nk = 600\n"
      "m = 4\nL = 2\nseeds = 0\n"),
@@ -301,7 +312,6 @@ CLI_CASES = [
 # Saves, per builder, the GN matrix and its spectrum as raw float64 files, and
 # per bound function its values (NaN where the bound is undefined).
 LIBRARY_SCRIPT = """
-import inspect
 import sys
 import numpy as np
 import gn_lens as g
@@ -339,10 +349,6 @@ v_wide, w_wide = init(NetworkSpec(kind="linear_deep", dims=(20, 24, 3)),
 v_narrow, w_narrow = p_leaky.layers
 x_few = x[:, :12]
 gamma = g.gn_leaky(w_narrow, v_narrow, x_few, 0.1)[1]
-# Trees before the V argument was dropped take (W, V, X, alpha, gamma).
-leaky_args = ((w_narrow, v_narrow)
-              if "V" in inspect.signature(g.bound_leaky).parameters
-              else (w_narrow,))
 bounds = {
     "bound_one_hidden": [lambda: g.bound_one_hidden(w_wide, v_wide, sigma),
                          lambda: g.bound_one_hidden(w_narrow, v_narrow, sigma)],
@@ -350,7 +356,7 @@ bounds = {
     "bound_deep_max": [lambda: g.bound_deep_max(p_deep, sigma)],
     "bound_residual_convex": [lambda: g.bound_residual_convex(p_res, 0.5, sigma)],
     "bound_residual_max": [lambda: g.bound_residual_max(p_res, 0.5, sigma)],
-    "bound_leaky": [lambda: g.bound_leaky(*leaky_args, x_few, 0.1, gamma)],
+    "bound_leaky": [lambda: g.bound_leaky(w_narrow, x_few, 0.1, gamma)],
 }
 for name, calls in bounds.items():
     values = []
