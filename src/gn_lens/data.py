@@ -169,8 +169,11 @@ def synthesize_gaussian(
     spectrum = np.asarray(covariance_spectrum, dtype=np.float64)
     if spectrum.shape != (d,):
         raise ValidationError(f"spectrum must have length d={d}")
-    if np.any(spectrum < 0):
-        raise ValidationError("covariance spectrum entries must be >= 0")
+    bad = np.flatnonzero(~(np.isfinite(spectrum) & (spectrum >= 0)))
+    if bad.size:
+        raise ValidationError(
+            f"covariance_spectrum entries must be finite and >= 0, got "
+            f"{spectrum[bad[0]]} at index {bad[0]}")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     z = rng.standard_normal((d, n))

@@ -91,9 +91,12 @@ def gn_layer_products(params: Params, beta: float):
         return layer_products(params, beta)
 
 
-def gn_from_products(params: Params, products, s_half) -> GnMatrix:
+def gn_from_products(params: Params, products, s_half,
+                     alloc=np.empty) -> GnMatrix:
     """The GN from `products = layer_products(params, beta)` and the PSD
-    square root `s_half` of the input covariance, all it reads of the data.
+    square root `s_half` of the input covariance, all it reads of the data,
+    built into `alloc(shape)`. Every entry is written, so the storage may
+    hold anything, as a held GN's does.
 
     The GN is sum_l kron(left_l, right_l), with left_l = a a^T (k x k) and
     right_l = S^(1/2) b^T b S^(1/2) (d x d), symmetrized as 0.5 * (G + G^T).
@@ -115,7 +118,7 @@ def gn_from_products(params: Params, products, s_half) -> GnMatrix:
         raise DimensionError(
             f"sigma is {s_half.shape[0]}x{s_half.shape[0]} but input width is {d}"
         )
-    g = np.zeros((k * d, k * d))
+    g = alloc((k * d, k * d))
     g4 = g.reshape(k, d, k, d)
     layers = list(zip(*products))
     # Layers whose factors are held at once: one when a layer's factors
@@ -192,8 +195,10 @@ def _pair_chunks(k: int, d: int):
             i += 1
 
 
-def gn_leaky(W, V, X, alpha: float) -> tuple[GnMatrix, np.ndarray]:
-    """kn x kn reduced GN of a one-hidden piecewise-linear network.
+def gn_leaky(W, V, X, alpha: float,
+             alloc=np.empty) -> tuple[GnMatrix, np.ndarray]:
+    """kn x kn reduced GN of a one-hidden piecewise-linear network, built
+    into `alloc(shape)`, which is asked for it after the size check.
 
     Uses the raw data Gram X^T X without a 1/n factor. Also returns the
     n x n second-term matrix (sum of per-unit input-weight Grams) needed by
@@ -216,8 +221,8 @@ def gn_leaky(W, V, X, alpha: float) -> tuple[GnMatrix, np.ndarray]:
     # p[(j, c), i] = lam[i, j] * w[c, i]; the V-part of the GN is
     # (X^T X kron 1 1^T) o (p p^T), the W-part is gamma kron I_k.
     p = (lam.T[:, None, :] * w[None, :, :]).reshape(n * k, m)
-    # a @ a.T runs as one symmetric rank-m update, so g is exactly symmetric.
-    g = p @ p.T
+    # p @ p.T runs as one symmetric rank-m update, so g is exactly symmetric.
+    g = np.matmul(p, p.T, out=alloc((n * k, n * k)))
     g.reshape(n, k, n, k)[...] *= (x.T @ x)[:, None, :, None]
     for c in range(k):
         g[c::k, c::k] += gamma

@@ -131,7 +131,8 @@ class Params:
 
     draw is the `Draw` record that `init` drew the layers into, if it was
     given one; `layer_products` reuses the record's products over the
-    leading layers that are still its arrays. Those layers were checked
+    leading layers that are still its arrays, and `checkpoint_metrics`
+    builds the GN into the record's storage. Those layers were checked
     finite when drawn and are not checked again; every other layer is.
 
     Two Params are equal when their layers, and their masks if any, have
@@ -229,6 +230,9 @@ class Draw:
     Beside below[i], extremes[i] is the (sigma_max, sigma_min or 0) pair
     the depth bounds derived from it, None until derived. It goes with its
     product.
+
+    gn is the storage of the last GN built through `gn_storage`, which the
+    next GN of its shape overwrites; None until one is built.
     """
 
     seed: int | None = None
@@ -238,10 +242,21 @@ class Draw:
     beta: float | None = None
     below: list[np.ndarray] = field(default_factory=list)
     extremes: list[tuple[float, float] | None] = field(default_factory=list)
+    gn: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def keep_below(self, count: int) -> None:
         """Drop the below products past the first `count`, and their pairs."""
         del self.below[count:], self.extremes[count:]
+
+    def gn_storage(self, shape: tuple[int, int]) -> np.ndarray:
+        """A GN allocator: the held storage, as the last GN left it, or new
+        uninitialized storage if `shape` differs. Reusing one block saves
+        faulting in pages that the heap handed back to the OS when the last
+        GN was freed."""
+        if self.gn is None or self.gn.shape != shape:
+            self.gn = None  # freed before the new block is allocated
+            self.gn = np.empty(shape)
+        return self.gn
 
 
 def _drawn_prefix(layers, draw: Draw | None) -> int:
@@ -483,15 +498,20 @@ def chain_products(upper, lower, eye_out: np.ndarray, eye_in: np.ndarray,
     beta != 0; held are the below products already built, of layers 1 up
     to 1, 2, ..., len(held). eye_out and eye_in are the identities of
     widths k and d: the products above layer L and below layer 1. Only the
-    thin products are kept, so layers yielded one at a time are freed one
-    at a time.
+    thin products are kept, and each layer but a pass's first (its first
+    product) is dropped before the next is asked for, so layers yielded one
+    at a time are freed one at a time.
     """
     above = [eye_out]
     for w in upper:
         above.append(above[-1] @ w if len(above) > 1 else w)
+        # Freed before the pass builds the next layer, so that one shifted
+        # layer is alive at a time and the heap reuses its block.
+        del w
     below = [eye_in, *held]
     for w in lower:
         below.append(w @ below[-1] if len(below) > 1 else w)
+        del w
     return above[::-1], below
 
 

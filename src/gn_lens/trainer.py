@@ -230,9 +230,11 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
     if spec.kind not in EVALUATED_KINDS:
         raise SpecError(f"kind {spec.kind!r} has no analytic GN builder")
     bounds = {}
+    # A sweep's cells build their GN into the storage their draw record holds.
+    alloc = np.empty if params.draw is None else params.draw.gn_storage
     if spec.kind == LEAKY_ONE_HIDDEN:
         v, w = params.layers
-        gn, gamma = gn_leaky(w, v, ds.X, spec.alpha)
+        gn, gamma = gn_leaky(w, v, ds.X, spec.alpha, alloc)
         terms = terms or data_terms(ds, spec.kind)
         try:
             bounds["bound_other"] = bound_leaky(w, ds.X, spec.alpha, gamma,
@@ -250,8 +252,8 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
         # GN and the depth bounds.
         products = gn_layer_products(params, spec.skip)
         terms = terms or data_terms(ds, spec.kind)
-        spectrum = gn_from_products(params, products,
-                                    terms.sigma_half).spectrum()
+        spectrum = gn_from_products(params, products, terms.sigma_half,
+                                    alloc).spectrum()
         kappa = pseudo_condition_number(spectrum, policy)
         try:
             convex, maximum = depth_bounds(products, terms.kappa_sigma,

@@ -96,6 +96,11 @@ CLI_CASES = [
     ("analyze_k1_wide", "analyze", ["--spectrum"],
      "data = synthetic\nd = 210\nn = 420\nkind = linear_deep\nk = 1\n"
      "m = 12\nL = 4\nseeds = 0\n"),
+    # The slab path in a depth sweep: the second cell builds its GN into the
+    # storage that holds the first cell's.
+    ("sweep_depth_k1_wide", "sweep", [],
+     "data = synthetic\nd = 210\nn = 420\nkind = linear_deep\nk = 1\n"
+     "m = 12\naxis = L\nvalues = 3,4\nseeds = 0\n"),
     # More outputs than inputs: many small blocks per chunk, and k x k
     # factors so large that the layers' factors are held one at a time.
     ("analyze_k_over_d", "analyze", ["--spectrum"],
