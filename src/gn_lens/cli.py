@@ -434,14 +434,12 @@ def _write_text(path: str, text: str) -> None:
 def _row(label: str, seed: int, spec: NetworkSpec, ds: Dataset,
          policy: RankPolicy | None, result, **columns) -> ResultRow:
     """A result row from a Metrics or a Checkpoint (which has no kappa_sigma)."""
-    if spec.kind == LINEAR_CONV:
-        m = spec.conv_layers[0][0]
-        k = spec.conv_lengths()[-1] * spec.conv_layers[-1][0]
-    else:
-        hidden = spec.dims[1:-1]
-        m, k = (max(hidden) if hidden else None), spec.dims[-1]
+    # m is a conv net's filter count, or a dense net's widest hidden layer.
+    m = (spec.conv_layers[0][0] if spec.kind == LINEAR_CONV
+         else max(spec.dims[1:-1], default=None))
     return ResultRow(
-        experiment=label, seed=seed, L=spec.depth, m=m, d=ds.d, k=k, n=ds.n,
+        experiment=label, seed=seed, L=spec.depth, m=m, d=ds.d,
+        k=spec.widths[-1], n=ds.n,
         beta=spec.beta, alpha=spec.alpha, kappa=result.kappa,
         bound_convex=result.bound_convex, bound_max=result.bound_max,
         bound_other=result.bound_other,

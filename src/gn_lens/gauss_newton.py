@@ -195,6 +195,8 @@ def _pair_chunks(k: int, d: int):
             i += 1
 
 
+# Overflow (weights or data too large) is reported, not warned about.
+@np.errstate(over="ignore", invalid="ignore")
 def gn_leaky(W, V, X, alpha: float,
              alloc=np.empty) -> tuple[GnMatrix, np.ndarray]:
     """kn x kn reduced GN of a one-hidden piecewise-linear network, built
@@ -218,6 +220,9 @@ def gn_leaky(W, V, X, alpha: float,
     lam = np.where(u > 0, 1.0, alpha)
     u *= lam
     gamma = u.T @ u
+    if not np.isfinite(gamma).all():
+        raise NumericError("the hidden units overflow float64; the weights "
+                           "or data are too large")
     # p[(j, c), i] = lam[i, j] * w[c, i]; the V-part of the GN is
     # (X^T X kron 1 1^T) o (p p^T), the W-part is gamma kron I_k.
     p = (lam.T[:, None, :] * w[None, :, :]).reshape(n * k, m)
@@ -285,9 +290,7 @@ def gn_from_jacobian(spec: NetworkSpec, params: Params, X,
     cap is refused with SizeError before any forward pass.
     """
     x = as_matrix(X, "X")
-    outputs = (spec.conv_layers[-1][0] * spec.conv_lengths()[-1]
-               if spec.kind == LINEAR_CONV else spec.dims[-1])
-    kn = outputs * x.shape[1]
+    kn = spec.widths[-1] * x.shape[1]
     p = sum(w.size for w in params.layers)
     if min(p, kn) > DEFAULT_DIM_CAP:
         raise SizeError(f"min(p, kn)={min(p, kn)} (p={p}, kn={kn}) exceeds "
@@ -341,12 +344,10 @@ def gn_conv_shared(spec: NetworkSpec, params: Params, sigma) -> GnMatrix:
     if p > DEFAULT_DIM_CAP:
         raise SizeError(f"p={p} exceeds dimension cap {DEFAULT_DIM_CAP}")
     s_half = psd_sqrt(as_matrix(sigma, "sigma"))
+    if s_half.shape[0] != spec.widths[0]:
+        raise DimensionError(f"sigma is {s_half.shape[0]}x{s_half.shape[0]} "
+                             f"but the input has {spec.widths[0]} entries")
     lifted = Params(layers=tuple(lift_conv(spec, params)))
-    if s_half.shape[0] != lifted.layers[0].shape[1]:
-        raise DimensionError(
-            f"sigma is {s_half.shape[0]}x{s_half.shape[0]} but the input has "
-            f"{lifted.layers[0].shape[1]} entries"
-        )
     lengths = spec.conv_lengths()
     blocks = []
     for ell, ((mo, mi, kf), above, below) in enumerate(

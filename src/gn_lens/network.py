@@ -103,10 +103,18 @@ class NetworkSpec:
         return self.beta if self.kind == RESIDUAL else 0.0
 
     @property
+    def widths(self) -> tuple[int, ...]:
+        """The rows of the input and of each layer's output: dims, or for
+        the conv kind channels x signal length, the widths of the Toeplitz
+        lifting."""
+        if self.kind != LINEAR_CONV:
+            return self.dims
+        channels = [self.conv_layers[0][1], *(c[0] for c in self.conv_layers)]
+        return tuple(c * n for c, n in zip(channels, self.conv_lengths()))
+
+    @property
     def depth(self) -> int:
-        if self.kind == LINEAR_CONV:
-            return len(self.conv_layers)
-        return len(self.dims) - 1
+        return len(self.widths) - 1
 
     def layer_shapes(self) -> list[tuple[int, ...]]:
         if self.kind == LINEAR_CONV:
@@ -403,15 +411,14 @@ def conv_forward(spec: NetworkSpec, params: Params, X: np.ndarray) -> np.ndarray
 def check_batch(spec: NetworkSpec, X) -> np.ndarray:
     """X as a finite float64 matrix with the rows the network reads."""
     x = as_matrix(X, "X")
-    expected = (spec.conv_layers[0][1] * spec.dims[0]
-                if spec.kind == LINEAR_CONV else spec.dims[0])
+    expected = spec.widths[0]
     if x.shape[0] != expected:
         raise DimensionError(f"X must have {expected} rows, got {x.shape[0]}")
     return x
 
 
 def forward(spec: NetworkSpec, params: Params, X) -> np.ndarray:
-    """Network outputs, k x n (conv: (m_L * d_L) x n)."""
+    """Network outputs, spec.widths[-1] x n."""
     x = check_batch(spec, X)
     if spec.kind == LINEAR_CONV:
         return conv_forward(spec, params, x)
@@ -517,14 +524,11 @@ def chain_products(upper, lower, eye_out: np.ndarray, eye_in: np.ndarray,
 
 def toeplitz_from_filter(w, d: int) -> np.ndarray:
     """Banded (d-k+1) x d matrix whose product computes a valid correlation."""
-    w = np.asarray(w, dtype=np.float64).ravel()
-    kf = w.size
-    if kf > d:
-        raise DimensionError(f"filter length {kf} exceeds signal length {d}")
-    t = np.zeros((d - kf + 1, d))
-    for i in range(d - kf + 1):
-        t[i, i : i + kf] = w
-    return t
+    w = np.asarray(w, dtype=np.float64).reshape(1, 1, -1)
+    if w.size > d:
+        raise DimensionError(
+            f"filter length {w.size} exceeds signal length {d}")
+    return toeplitz_layer(w, d)
 
 
 def toeplitz_layer(fibres, d_prev: int) -> np.ndarray:
@@ -541,20 +545,18 @@ def toeplitz_layer(fibres, d_prev: int) -> np.ndarray:
     d_out = d_prev - kf + 1
     if d_out < 1:
         raise DimensionError(f"kernel {kf} exceeds signal length {d_prev}")
-    blocks = [
-        [toeplitz_from_filter(fib[a, b], d_prev) for b in range(mi)]
-        for a in range(mo)
-    ]
-    return np.block(blocks)
+    # t[a, i, b, i + s] = fib[a, b, s] for each tap s of each output i.
+    t = np.zeros((mo, d_out, mi, d_prev))
+    for i in range(d_out):
+        t[:, i, :, i:i + kf] = fib
+    return t.reshape(mo * d_out, mi * d_prev)
 
 
 def lift_conv(spec: NetworkSpec, params: Params) -> list[np.ndarray]:
     """Dense Toeplitz matrices T^(1)..T^(L) of the conv chain."""
     lengths = spec.conv_lengths()
-    return [
-        toeplitz_layer(params.layers[idx], lengths[idx])
-        for idx in range(spec.depth)
-    ]
+    return [toeplitz_layer(params.layers[i], lengths[i])
+            for i in range(spec.depth)]
 
 
 def prune_by_magnitude(params: Params, fraction: float) -> Params:

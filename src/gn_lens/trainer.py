@@ -229,22 +229,16 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
     """
     if spec.kind not in EVALUATED_KINDS:
         raise SpecError(f"kind {spec.kind!r} has no analytic GN builder")
-    bounds = {}
     # A sweep's cells build their GN into the storage their draw record holds.
     alloc = np.empty if params.draw is None else params.draw.gn_storage
     if spec.kind == LEAKY_ONE_HIDDEN:
         v, w = params.layers
         gn, gamma = gn_leaky(w, v, ds.X, spec.alpha, alloc)
         terms = terms or data_terms(ds, spec.kind)
-        try:
-            bounds["bound_other"] = bound_leaky(w, ds.X, spec.alpha, gamma,
-                                                terms.x_singular).value
-        except DegenerateDataError:
-            # Valid only when the data Gram and unit-weight Gram are both
-            # nondegenerate; kappa itself is still well defined.
-            pass
-        spectrum = gn.spectrum()
-        kappa = pseudo_condition_number(spectrum, policy)
+
+        def bounds():
+            return {"bound_other": bound_leaky(w, ds.X, spec.alpha, gamma,
+                                               terms.x_singular).value}
     else:
         if spec.kind == LINEAR_CONV:
             params = Params(layers=tuple(lift_conv(spec, params)))
@@ -252,20 +246,23 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
         # GN and the depth bounds.
         products = gn_layer_products(params, spec.skip)
         terms = terms or data_terms(ds, spec.kind)
-        spectrum = gn_from_products(params, products, terms.sigma_half,
-                                    alloc).spectrum()
-        kappa = pseudo_condition_number(spectrum, policy)
-        try:
+        gn = gn_from_products(params, products, terms.sigma_half, alloc)
+
+        def bounds():
             convex, maximum = depth_bounds(products, terms.kappa_sigma,
                                            params.draw)
-            bounds = dict(bound_convex=convex.value, bound_max=maximum.value,
-                          terms=convex.terms)
-        except AssumptionError:
-            # A rank-deficient partial product leaves the depth bounds
-            # undefined; kappa itself is still well defined.
-            pass
+            return dict(bound_convex=convex.value, bound_max=maximum.value,
+                        terms=convex.terms)
+    spectrum = gn.spectrum()
+    kappa = pseudo_condition_number(spectrum, policy)
+    try:
+        applied = bounds()
+    except (AssumptionError, DegenerateDataError):
+        # A rank-deficient partial product (depth bounds) or a singular Gram
+        # (Leaky-ReLU bound) leaves the bound blank; kappa is still defined.
+        applied = {}
     return Metrics(kappa=kappa, spectrum=spectrum,
-                   kappa_sigma=terms.kappa_sigma, **bounds)
+                   kappa_sigma=terms.kappa_sigma, **applied)
 
 
 def train(spec: NetworkSpec, params: Params, ds: Dataset, cfg: TrainConfig,

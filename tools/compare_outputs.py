@@ -16,10 +16,11 @@ the `whiten` command, a flag the command does not read, `init_sigma` under
 a non-gaussian init, an idx `data_seed` without a positive `limit`, a
 network value that does not parse beside a data file that does not exist,
 a negative `seeds` under `--seed-override`, and a `cov_spectrum` entry that
-is negative, NaN or infinite, listed or from a logspace), the benchmark's four
-workload configs (`bench/run.py`, seed 0), the GN builders that the CLI
-does not reach (`gn_conv_shared`, `gn_from_jacobian`) and the library's
-bound functions.
+is negative, NaN or infinite, listed or from a logspace), the benchmark's
+four workload configs (`bench/run.py`, seed 0), the GN builders that the
+CLI does not reach (`gn_conv_shared`, `gn_from_jacobian` on every
+kind it takes), a multi-channel `toeplitz_layer` and the library's bound
+functions.
 For each case the report gives both exit codes, whether stderr matches, and
 per output file whether it is byte-identical; where a file differs it gives
 the largest relative deviation per numeric CSV column (or over a raw float64
@@ -333,8 +334,12 @@ res = NetworkSpec(kind="residual", dims=(20, 20, 20, 20), beta=0.5)
 conv = NetworkSpec(kind="linear_conv", dims=(20,),
                    conv_layers=((8, 1, 5), (8, 8, 5)))
 leaky = NetworkSpec(kind="leaky_one_hidden", dims=(20, 12, 3))
+small_conv = NetworkSpec(kind="linear_conv", dims=(10,),
+                         conv_layers=((3, 2, 3), (2, 3, 4)))
+bn = NetworkSpec(kind="linear_bn_one_hidden", dims=(20, 6, 3))
 p_deep, p_res = init(deep, seed=1), init(res, seed=2)
 p_conv, p_leaky = init(conv, seed=3), init(leaky, seed=4)
+p_small_conv, p_bn = init(small_conv, seed=6), init(bn, seed=7)
 gns = {
     "gn_linear": g.gn_linear(p_deep, sigma),
     "gn_residual": g.gn_residual(p_res, 0.5, sigma),
@@ -343,11 +348,16 @@ gns = {
     "gn_from_jacobian_analytic": g.gn_from_jacobian(
         deep, p_deep, x, mode="analytic_linear"),
     "gn_from_jacobian_fd": g.gn_from_jacobian(leaky, p_leaky, x[:, :12]),
+    "gn_from_jacobian_fd_conv": g.gn_from_jacobian(
+        small_conv, p_small_conv, x[:, :6]),
+    "gn_from_jacobian_fd_bn": g.gn_from_jacobian(bn, p_bn, x[:, :12]),
     "gn_leaky": g.gn_leaky(p_leaky.layers[1], p_leaky.layers[0], x, 0.1)[0],
 }
 for name, gn in gns.items():
     gn.matrix.tofile(f"{out}/{name}.f64")
     gn.spectrum().values.tofile(f"{out}/{name}.spectrum.f64")
+g.toeplitz_layer(rng.standard_normal((3, 4, 5)), 9).tofile(
+    f"{out}/toeplitz_layer.f64")
 
 v_wide, w_wide = init(NetworkSpec(kind="linear_deep", dims=(20, 24, 3)),
                       seed=5).layers
