@@ -289,6 +289,7 @@ def gn_from_jacobian(spec: NetworkSpec, params: Params, X,
     (p x p or kn x kn); the nonzero spectra agree. A side past the dimension
     cap is refused with SizeError before any forward pass.
     """
+    spec.check_layers(params.layers)
     x = as_matrix(X, "X")
     kn = spec.widths[-1] * x.shape[1]
     p = sum(w.size for w in params.layers)
@@ -337,9 +338,6 @@ def gn_conv_shared(spec: NetworkSpec, params: Params, sigma) -> GnMatrix:
     """
     if spec.kind != LINEAR_CONV:
         raise SpecError("gn_conv_shared needs the linear_conv kind")
-    shapes = spec.layer_shapes()
-    if [w.shape for w in params.layers] != shapes:
-        raise DimensionError(f"filter shapes must be {shapes}")
     p = sum(w.size for w in params.layers)
     if p > DEFAULT_DIM_CAP:
         raise SizeError(f"p={p} exceeds dimension cap {DEFAULT_DIM_CAP}")
@@ -351,7 +349,7 @@ def gn_conv_shared(spec: NetworkSpec, params: Params, sigma) -> GnMatrix:
     lengths = spec.conv_lengths()
     blocks = []
     for ell, ((mo, mi, kf), above, below) in enumerate(
-            zip(shapes, *layer_products(lifted)), start=1):
+            zip(spec.layer_shapes(), *layer_products(lifted)), start=1):
         above = above.reshape(-1, mo, lengths[ell])
         below = below @ s_half
         # window[b, i, j, t] = below[b * d_prev + i + t, j]

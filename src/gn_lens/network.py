@@ -78,15 +78,13 @@ class NetworkSpec:
             if any(len(c) != 3 or min(c) < 1 for c in convs):
                 raise SpecError("each conv layer needs three integers >= 1")
             object.__setattr__(self, "conv_layers", convs)
-            prev_ch = convs[0][1]
-            length = dims[0]
-            for mo, mi, kf in convs:
-                if mi != prev_ch:
+            channels = [convs[0][1], *(c[0] for c in convs)]
+            for (_, mi, kf), prev, length in zip(convs, channels,
+                                                 self.conv_lengths()):
+                if mi != prev:
                     raise SpecError("conv in_channels must chain")
                 if kf > length:
                     raise SpecError(f"kernel {kf} exceeds signal length {length}")
-                length = length - kf + 1
-                prev_ch = mo
         else:
             if len(dims) < 2:
                 raise SpecError("dims must list at least input and output width")
@@ -118,10 +116,14 @@ class NetworkSpec:
 
     def layer_shapes(self) -> list[tuple[int, ...]]:
         if self.kind == LINEAR_CONV:
-            return [(mo, mi, kf) for mo, mi, kf in self.conv_layers]
-        return [
-            (self.dims[i + 1], self.dims[i]) for i in range(len(self.dims) - 1)
-        ]
+            return list(self.conv_layers)
+        return list(zip(self.dims[1:], self.dims[:-1]))
+
+    def check_layers(self, layers) -> None:
+        """Raise DimensionError unless `layers` have `layer_shapes()`."""
+        shapes, given = self.layer_shapes(), [w.shape for w in layers]
+        if given != shapes:
+            raise DimensionError(f"layer shapes must be {shapes}, got {given}")
 
     def conv_lengths(self) -> list[int]:
         """Signal length after each conv layer (index 0 = input length)."""
@@ -333,32 +335,28 @@ def init_aligned_svd(spec: NetworkSpec, explicit=None,
     """
     if spec.kind not in ALIGNED_KINDS:
         raise SpecError("aligned init is defined for linear/residual kinds")
-    dims = spec.dims
-    hidden = dims[1:-1]
+    if explicit is not None and len(explicit) != spec.depth:
+        raise SpecError(f"explicit lists singular values for {len(explicit)} "
+                        f"layers, but the net has {spec.depth}")
+    d, k = spec.dims[0], spec.dims[-1]
+    hidden = spec.dims[1:-1]
     if hidden and any(h != hidden[0] for h in hidden):
         raise SpecError("aligned init requires equal (square) hidden widths")
-    m = hidden[0] if hidden else max(dims[0], dims[-1])
-    d, k = dims[0], dims[-1]
+    m = hidden[0] if hidden else max(d, k)
     if d > m or k > m:
         raise SpecError("aligned init requires hidden width >= end widths")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    L = spec.depth
-
-    def draw(count, idx):
-        if explicit is None:
-            return np.abs(rng.standard_normal(count))
-        vals = np.asarray(explicit[idx], dtype=np.float64)
-        if vals.size != count:
-            raise SpecError(
-                f"layer {idx + 1} needs {count} singular values, got {vals.size}"
-            )
-        return vals
-
     layers = []
-    for idx in range(L):
-        rows, cols = dims[idx + 1], dims[idx]
-        s = draw(min(rows, cols), idx)
+    for idx, (rows, cols) in enumerate(spec.layer_shapes()):
+        count = min(rows, cols)
+        if explicit is None:
+            s = np.abs(rng.standard_normal(count))
+        else:
+            s = np.asarray(explicit[idx], dtype=np.float64)
+            if s.size != count:
+                raise SpecError(f"layer {idx + 1} needs {count} singular "
+                                f"values, got {s.size}")
         if rows == m and cols == m:
             w = (q * s) @ q.T
         elif idx == 0:  # m x d, left basis from Q
@@ -419,6 +417,7 @@ def check_batch(spec: NetworkSpec, X) -> np.ndarray:
 
 def forward(spec: NetworkSpec, params: Params, X) -> np.ndarray:
     """Network outputs, spec.widths[-1] x n."""
+    spec.check_layers(params.layers)
     x = check_batch(spec, X)
     if spec.kind == LINEAR_CONV:
         return conv_forward(spec, params, x)
@@ -554,9 +553,9 @@ def toeplitz_layer(fibres, d_prev: int) -> np.ndarray:
 
 def lift_conv(spec: NetworkSpec, params: Params) -> list[np.ndarray]:
     """Dense Toeplitz matrices T^(1)..T^(L) of the conv chain."""
-    lengths = spec.conv_lengths()
-    return [toeplitz_layer(params.layers[i], lengths[i])
-            for i in range(spec.depth)]
+    spec.check_layers(params.layers)
+    return [toeplitz_layer(fib, length)
+            for fib, length in zip(params.layers, spec.conv_lengths())]
 
 
 def prune_by_magnitude(params: Params, fraction: float) -> Params:

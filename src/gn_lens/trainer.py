@@ -104,6 +104,7 @@ def mse_gradient(spec: NetworkSpec, params: Params, X, Y) -> list[np.ndarray]:
         raise DimensionError("batch must be nonempty")
     if spec.kind not in TRAINABLE_KINDS:
         raise SpecError(f"no analytic gradient for kind {spec.kind!r}")
+    spec.check_layers(params.layers)
     x = check_batch(spec, X)
     _check_targets(spec, Y, x.shape[1])
     layers = params.layers
@@ -229,6 +230,7 @@ def checkpoint_metrics(spec: NetworkSpec, params: Params, ds: Dataset,
     """
     if spec.kind not in EVALUATED_KINDS:
         raise SpecError(f"kind {spec.kind!r} has no analytic GN builder")
+    spec.check_layers(params.layers)
     # A sweep's cells build their GN into the storage their draw record holds.
     alloc = np.empty if params.draw is None else params.draw.gn_storage
     if spec.kind == LEAKY_ONE_HIDDEN:

@@ -76,7 +76,7 @@ def test_convex_bound_is_the_limit_of_its_terms():
                                          rel=1e-12)
     assert bound_deep_max(params, np.eye(3)).value == math.inf
     kappa = pseudo_condition_number(gn_linear(params, np.eye(3)).spectrum())
-    assert kappa <= convex.value
+    assert kappa == pytest.approx(convex.value, rel=1e-12)
 
 
 def test_an_ill_conditioned_full_rank_network_keeps_finite_bounds():

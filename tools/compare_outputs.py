@@ -16,9 +16,10 @@ the `whiten` command, a flag the command does not read, `init_sigma` under
 a non-gaussian init, an idx `data_seed` without a positive `limit`, a
 network value that does not parse beside a data file that does not exist,
 a negative `seeds` under `--seed-override`, and a `cov_spectrum` entry that
-is negative, NaN or infinite, listed or from a logspace), the benchmark's
-four workload configs (`bench/run.py`, seed 0), the GN builders that the
-CLI does not reach (`gn_conv_shared`, `gn_from_jacobian` on every
+is negative, NaN or infinite, listed or from a logspace), an aligned
+`residual` net whose end layers are narrower than its hidden width, the
+benchmark's four workload configs (`bench/run.py`, seed 0), the GN
+builders that the CLI does not reach (`gn_conv_shared`, `gn_from_jacobian` on every
 kind it takes), a multi-channel `toeplitz_layer` and the library's bound
 functions.
 For each case the report gives both exit codes, whether stderr matches, and
@@ -78,6 +79,11 @@ CLI_CASES = [
     ("analyze_aligned", "analyze", [],
      "data = synthetic\nd = 6\nn = 64\nkind = residual\nbeta = 0.5\n"
      "dims = 6,6,6,6\ninit = aligned_svd\nseeds = 0,1\n"),
+    # d < m and k < m: the first and last layers take truncated columns of
+    # the shared basis.
+    ("analyze_aligned_rect", "analyze", [],
+     "data = synthetic\nd = 4\nn = 64\nkind = residual\nbeta = 0.5\n"
+     "dims = 4,7,7,3\ninit = aligned_svd\nseeds = 0,1\n"),
     ("analyze_rank_relative", "analyze", [],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"
              "rank_policy = relative:1e-12\n"),
