@@ -11,7 +11,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass, fields, is_dataclass, replace
+from dataclasses import astuple, dataclass, fields, is_dataclass
 from functools import partial
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .linalg import RankPolicy, rank_sensitivity_sweep
+from .linalg import RankPolicy, check_indexable, rank_sensitivity_sweep
 from .network import (
     ALIGNED_KINDS,
     EVALUATED_KINDS,
@@ -118,7 +118,7 @@ def _read(cfg, key, default, parse, what):
         return default
     try:
         return parse(cfg[key])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"key {key!r}: {what}: {cfg[key]!r}") from exc
 
 
@@ -192,6 +192,7 @@ def parse_rank_policy(text: str) -> RankPolicy | None:
 
 
 def _cov_spectrum(cfg, d: int) -> np.ndarray:
+    check_indexable((d,), "cov_spectrum")
     text = cfg.get("cov_spectrum", "ones")
     if text == "ones":
         return np.ones(d)
@@ -286,11 +287,12 @@ def check_kind(cfg: dict, trains: bool = False, axis: str | None = None) -> str:
     return kind
 
 
-def _spec_before_data(cfg: dict) -> NetworkSpec:
-    """The config's NetworkSpec at a stand-in input width that every check
-    of its keys passes: every network key but `dims` parsed and
-    range-checked, with no data. A value is the file's text or, for a
-    sweep's axis, a typed number, which `int` and `float` keep as is."""
+def build_spec(cfg: dict, data_d: int | None = None) -> NetworkSpec:
+    """The config's NetworkSpec, every network key it reads parsed and
+    range-checked. Before the data (`data_d` None) a dense input width
+    stands in as 1, explicit `dims` keep their own, and a conv signal is
+    the shortest that both layers fit. A value is the file's text or, for
+    a sweep's axis, a typed number, which `int` and `float` keep as is."""
     kind = cfg.get("kind", LINEAR_DEEP)
     beta = _as_float(cfg, "beta", 0.0)
     alpha = _as_float(cfg, "alpha", 0.01)
@@ -298,32 +300,27 @@ def _spec_before_data(cfg: dict) -> NetworkSpec:
         filters = _at_least("filters", _as_int(cfg, "filters"), 1)
         kernel = _at_least("kernel", _as_int(cfg, "kernel"), 1)
         conv_layers = ((filters, 1, kernel), (filters, filters, kernel))
-        # The shortest signal that both layers fit.
-        return NetworkSpec(kind=kind, dims=(2 * kernel - 1,),
-                           conv_layers=conv_layers)
-    # Explicit `dims` wait for the data's d; one hidden layer, as every
-    # dense kind takes, stands in for them.
-    widths = (1, 1)
-    if "dims" not in cfg:
+        length = 2 * kernel - 1 if data_d is None else data_d
+        return NetworkSpec(kind=kind, dims=(length,), conv_layers=conv_layers)
+    if "dims" in cfg:
+        dims = _as_int_list(cfg, "dims")
+        if len(dims) < 2:
+            raise ConfigError(f"key 'dims': must list at least the input and "
+                              f"output width, got {cfg['dims']!r}")
+        _at_least("dims", min(dims), 1)
+        if data_d not in (None, dims[0]):
+            raise ConfigError(f"key 'dims': must start with the data's "
+                              f"d={data_d}, got {cfg['dims']!r}")
+    else:
         k = _as_int(cfg, "k")
         m = _as_int(cfg, "m")
         depth = _at_least("L", _as_int(cfg, "L", 2), 1)
-        widths = (*([m] * (depth - 1)), k)
-    return NetworkSpec(kind=kind, dims=(1, *widths), beta=beta, alpha=alpha)
-
-
-def build_spec(cfg: dict, data_d: int) -> NetworkSpec:
-    """Assemble a NetworkSpec from config keys and the data's input width."""
-    spec = _spec_before_data(cfg)
-    if spec.kind == LINEAR_CONV:
-        return replace(spec, dims=(data_d,))
-    if "dims" not in cfg:
-        return replace(spec, dims=(data_d, *spec.dims[1:]))
-    dims = tuple(_as_int_list(cfg, "dims"))
-    if dims[:1] != (data_d,):
-        raise ConfigError(f"key 'dims': must start with the data's "
-                          f"d={data_d}, got {cfg['dims']!r}")
-    return replace(spec, dims=dims)
+        try:
+            dims = [1 if data_d is None else data_d, *[m] * (depth - 1), k]
+        except OverflowError as exc:
+            raise ConfigError(f"key 'L': too many layers to list, got "
+                              f"{depth!r}") from exc
+    return NetworkSpec(kind=kind, dims=dims, beta=beta, alpha=alpha)
 
 
 def _init_scheme(cfg: dict) -> str:
@@ -355,9 +352,9 @@ def init_params(spec: NetworkSpec, cfg: dict, seed: int,
 def _check_before_data(cfg: dict, args, trains: bool = False,
                        axis: str | None = None):
     """(kind, rank policy, seeds), with the init, for a command that trains
-    the training keys, and the network keys but `dims` (and a sweep's axis)
-    checked: every check that needs no data, so that a config is refused
-    before any data is loaded."""
+    the training keys, and the network keys but a sweep's axis checked:
+    every check that needs no data, so that a config is refused before any
+    data is loaded."""
     kind = check_kind(cfg, trains=trains, axis=axis)
     policy = parse_rank_policy(cfg.get("rank_policy", "default"))
     seeds = _seeds(cfg, args)
@@ -365,7 +362,7 @@ def _check_before_data(cfg: dict, args, trains: bool = False,
     if trains:
         _train_config(cfg, 0)
         _teacher_seed(cfg)
-    _spec_before_data(cfg if axis is None else {**cfg, axis: _SWEEP_AXES[axis]})
+    build_spec(cfg if axis is None else {**cfg, axis: _SWEEP_AXES[axis]})
     return kind, policy, seeds
 
 
@@ -644,6 +641,7 @@ def _teacher_targets(cfg: dict, spec: NetworkSpec, ds: Dataset) -> Dataset:
                               f"{ds.Y.shape[0]} target row(s), but the "
                               f"network has k = {k} outputs")
         return ds
+    check_indexable((k, ds.d), "the teacher")
     rng = np.random.default_rng(_teacher_seed(cfg))
     z = rng.standard_normal((k, ds.d)) / np.sqrt(ds.d)
     return Dataset(X=ds.X, Y=z @ ds.X)

@@ -16,7 +16,12 @@ from .errors import (
     FormatError,
     ValidationError,
 )
-from .linalg import as_matrix, pseudo_condition_number, sym_eigendecompose
+from .linalg import (
+    as_matrix,
+    check_indexable,
+    pseudo_condition_number,
+    sym_eigendecompose,
+)
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -174,6 +179,7 @@ def synthesize_gaussian(
         raise ValidationError(
             f"covariance_spectrum entries must be finite and >= 0, got "
             f"{spectrum[bad[0]]} at index {bad[0]}")
+    check_indexable((d, n), "the sample")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     z = rng.standard_normal((d, n))

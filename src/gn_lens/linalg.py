@@ -8,6 +8,7 @@ orderings agree everywhere (np.kron follows it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import (
     NumericError,
     PsdViolationError,
     RankZeroError,
+    SizeError,
     ValidationError,
 )
 
@@ -25,6 +27,9 @@ DEFAULT_DIM_CAP = 10_000
 
 # PSD eigenvalues down to -_PSD_CLAMP * max(lambda_max, 1) count as roundoff.
 _PSD_CLAMP = 1e-10
+
+# The most bytes NumPy can index in one array.
+_INDEXABLE_BYTES = np.iinfo(np.intp).max
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -35,6 +40,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
+
+
+def check_indexable(shape: tuple[int, ...], what: str) -> None:
+    """Raise SizeError, before anything is allocated, if a float64 array of
+    `shape` would hold more bytes than NumPy can index."""
+    if math.prod(shape) * 8 > _INDEXABLE_BYTES:
+        raise SizeError(f"{what} of shape {shape} is too large for NumPy "
+                        "to index")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import (
     SpecError,
     ValidationError,
 )
-from .linalg import as_matrix
+from .linalg import as_matrix, check_indexable
 
 LINEAR_DEEP = "linear_deep"
 RESIDUAL = "residual"
@@ -311,6 +311,7 @@ def init(spec: NetworkSpec, scheme: str = "kaiming_normal", seed: int = 0,
     if kept:
         rng.bit_generator.state = draw.states[-1]
     for shape, scale in keys[kept:]:
+        check_indexable(shape, "a layer")
         with np.errstate(over="ignore"):
             layer = scale * rng.standard_normal(shape)
         if not np.isfinite(layer).all():
@@ -345,6 +346,7 @@ def init_aligned_svd(spec: NetworkSpec, explicit=None,
     m = hidden[0] if hidden else max(d, k)
     if d > m or k > m:
         raise SpecError("aligned init requires hidden width >= end widths")
+    check_indexable((m, m), "the shared basis")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((m, m)))
     layers = []
@@ -359,9 +361,9 @@ def init_aligned_svd(spec: NetworkSpec, explicit=None,
                                 f"values, got {s.size}")
         if rows == m and cols == m:
             w = (q * s) @ q.T
-        elif idx == 0:  # m x d, left basis from Q
+        elif rows == m:  # m x d first layer (or lone, k > d): left basis
             w = q[:, :cols] * s
-        else:  # k x m last layer, right basis from Q
+        else:  # k x m last layer (or lone, k < d): right basis from Q
             w = (np.eye(rows) * s) @ q[:, :rows].T
         layers.append(w)
     return Params(layers=tuple(layers))

@@ -1,7 +1,6 @@
-"""Every network value a kind reads but `dims` is parsed and range-checked
-before any data is loaded, so a bad value exits 2 even where the data would
-fail to load; `dims` waits for the data's d, and a sweep's own axis key is
-left unread."""
+"""Every network value a kind reads is parsed and range-checked before any
+data is loaded, so a bad value exits 2 even where the data would fail to
+load; a sweep's own axis key is left unread."""
 
 import pytest
 
@@ -69,12 +68,8 @@ def test_a_bad_value_off_the_sweep_axis_is_refused_before_any_data(
 
 
 def test_the_sweep_axis_key_and_dims_wait_for_the_data(tmp_path, capsys):
-    # The axis key is left unread, and `dims` needs the data's d: here the
-    # missing file is the first error.
-    data = missing_csv(tmp_path)
-    for cfg in ({**data, **RESIDUAL, "beta": "abc", "axis": "beta",
-                 "values": "0,1"},
-                {**data, "kind": "linear_deep", "dims": "6,x"}):
-        command = "sweep" if "axis" in cfg else "analyze"
-        assert run(tmp_path, command, cfg) == 4
-        assert capsys.readouterr().err.startswith("i/o error: ")
+    # The axis key is left unread: here the missing file is the first error.
+    cfg = {**missing_csv(tmp_path), **RESIDUAL, "beta": "abc", "axis": "beta",
+           "values": "0,1"}
+    assert run(tmp_path, "sweep", cfg) == 4
+    assert capsys.readouterr().err.startswith("i/o error: ")

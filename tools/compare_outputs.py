@@ -14,10 +14,13 @@ data keys that the config's source does not read, an `eigen_floor` without
 `k` beside explicit `dims`, `L` on a one-hidden kind, a network key on
 the `whiten` command, a flag the command does not read, `init_sigma` under
 a non-gaussian init, an idx `data_seed` without a positive `limit`, a
-network value that does not parse beside a data file that does not exist,
+network value (`dims` among them) that does not parse beside a data file
+that does not exist, a `dims` of one width,
 a negative `seeds` under `--seed-override`, and a `cov_spectrum` entry that
 is negative, NaN or infinite, listed or from a logspace), an aligned
-`residual` net whose end layers are narrower than its hidden width, the
+`residual` net whose end layers are narrower than its hidden width, a sweep
+with one width past what NumPy can index (exit 0, that cell in
+`errors.log`), the
 benchmark's four workload configs (`bench/run.py`, seed 0), the GN
 builders that the CLI does not reach (`gn_conv_shared`, `gn_from_jacobian` on every
 kind it takes), a multi-channel `toeplitz_layer` and the library's bound
@@ -296,6 +299,11 @@ CLI_CASES = [
     ("exit2_csv_missing_file_bad_m", "analyze", [],
      "data = csv\ndata_path = ../missing.csv\nkind = linear_deep\nk = 2\n"
      "m = abc\nL = 2\nseeds = 0\n"),
+    ("exit2_dims_bad_missing_csv", "analyze", [],
+     "data = csv\ndata_path = ../missing.csv\nkind = linear_deep\n"
+     "dims = 6,x\nseeds = 0\n"),
+    ("exit2_dims_one_width", "analyze", [],
+     SMALL + "kind = linear_deep\ndims = 6\n"),
     ("exit2_negative_seeds_seed_override", "analyze", ["--seed-override", "3"],
      SMALL.replace("seeds = 0,1", "seeds = -5")
      + "kind = linear_deep\nk = 2\nm = 8\nL = 3\n"),
@@ -318,6 +326,10 @@ CLI_CASES = [
     ("exit3_init_sigma_overflow", "analyze", [],
      SMALL + "kind = linear_deep\nk = 2\nm = 8\nL = 3\ninit = gaussian\n"
              "init_sigma = 1e308\n"),
+    # A width NumPy cannot index: that cell fails alone, in errors.log.
+    ("exit3_sweep_oversize_m", "sweep", [],
+     SMALL + "kind = linear_deep\nk = 2\nL = 3\naxis = m\n"
+             "values = 2,1e19\n"),
 ] + [(f"bench_{w.name}", w.command, ["--jobs", str(w.jobs)], w.config_text(0))
      for w in WORKLOADS.values()]
 
